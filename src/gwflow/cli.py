@@ -100,9 +100,14 @@ def _build_parser() -> _Parser:
         action="append",
         default=None,
         metavar="PHI,PSI",
-        help="overlay the trajectory from this point (repeatable)",
+        help="overlay the trajectory from this point until it leaves the window (repeatable)",
     )
-    por.add_argument("--traj-t-max", type=float, default=None)
+    por.add_argument(
+        "--traj-t-max",
+        type=float,
+        default=None,
+        help="cap on each overlay's flow time (default 20)",
+    )
     por.add_argument("--config", default=None)
     por.add_argument("--output", "-o", default=None, help="SVG path (default: stdout)")
 

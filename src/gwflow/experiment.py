@@ -179,8 +179,10 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     Raises :class:`BadInitialDataError` when the initial spectrum has a
     nonpositive eigenvalue or the starting ``phi`` speed is not above 1
     (either way ``N`` does not realize the "large initial phi" setup).
-    The run ends at ``t_max``, on a range guard, or once the eigenvalue
-    sign changes and both divergence thresholds have all been observed.
+    No monitor stops the run: it ends at ``t_max`` unless a range guard
+    or an integrator limit ends it first.  (A stop once both ``r1`` and
+    ``r2`` are negative could never fire: the ``r1 + r2`` identity in
+    :class:`ExperimentReport` keeps ``r2`` positive on every accepted run.)
     """
     n = cfg.n
     space = make_pn(n)
@@ -213,15 +215,6 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     def r1_phi(t: float, y: np.ndarray) -> float:
         return _phase_ricci_values(n, y[0], y[1])[0] * y[0]
 
-    def all_conditions(t: float, y: np.ndarray) -> float:
-        r1, r2, _ = _phase_ricci_values(n, y[0], y[1])
-        return max(
-            r1,
-            r2,
-            psi_phi_pow(t, y) - cfg.psi_phi_threshold,
-            r1_phi(t, y) - cfg.r1_phi_threshold,
-        )
-
     def diagnostics(t: float, y: np.ndarray) -> Mapping[str, float]:
         phi, psi = y
         spec = _spectrum_at(space, n, phi, psi)
@@ -245,7 +238,6 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         Monitor("psi", lambda t, y: y[1]),
         Monitor("psi_phi_pow", psi_phi_pow, level=cfg.psi_phi_threshold, kind="threshold"),
         Monitor("r1_phi", r1_phi, level=cfg.r1_phi_threshold, kind="threshold"),
-        Monitor("all_negative_conditions", all_conditions, kind="stop"),
     ]
     config = IntegratorConfig(t_max=cfg.t_max, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
     traj = integrate(field_reparam(n), [N, psi0], config, monitors, diagnostics)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .flows import RangeExceededError, field_phase, rhs_phase
-from .integrate import IntegratorConfig, integrate
+from .integrate import IntegratorConfig, Monitor, integrate
 
 __all__ = ["render_portrait"]
 
@@ -35,7 +35,14 @@ def render_portrait(
     starts: tuple[tuple[float, float], ...] = (),
     traj_t_max: float = 20.0,
 ) -> str:
-    """Render the vector field of the slice system as a standalone SVG."""
+    """Render the vector field of the slice system as a standalone SVG.
+
+    Each point of ``starts`` inside the window is overlaid with its
+    trajectory, drawn until it leaves the window (its last vertex is then
+    the located exit on the window's edge), or until the run ends first:
+    ``traj_t_max`` of flow time, a blow-up, or the step cap.  A start
+    outside the window or the cone draws nothing.
+    """
     phi_min, phi_max = phi_range
     psi_min, psi_max = psi_range
     if not (phi_max > phi_min and psi_max > psi_min):
@@ -160,8 +167,16 @@ def _clip_line_to_box(sign, phi_min, phi_max, psi_min, psi_max):
 def _trajectory_points(n, phi0, psi0, t_max, phi_min, phi_max, psi_min, psi_max):
     if not phi0 > abs(psi0):
         return []
+
+    def depth(t, y):
+        # signed distance into the box: the run ends where it turns negative
+        phi, psi = y
+        return min(phi - phi_min, phi_max - phi, psi - psi_min, psi_max - psi)
+
+    if depth(0.0, (phi0, psi0)) < 0.0:
+        return []  # one point draws no polyline
     cfg = IntegratorConfig(t_max=t_max, rel_tol=1e-8, abs_tol=1e-10, max_steps=20_000)
-    traj = integrate(field_phase(n), [phi0, psi0], cfg)
+    traj = integrate(field_phase(n), [phi0, psi0], cfg, [Monitor("window", depth, kind="stop")])
     points = []
     for phi, psi in traj.y:
         points.append((float(phi), float(psi)))

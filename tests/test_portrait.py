@@ -1,0 +1,69 @@
+"""Trajectory overlays in ``render_portrait`` end where they leave the window."""
+
+import pytest
+
+from gwflow import portrait
+from gwflow.flows import field_phase
+from gwflow.integrate import IntegratorConfig, Termination, integrate
+
+PHI_RANGE = (0.0, 4.0)
+PSI_RANGE = (-3.0, 3.0)
+CRAWL_START = (1.0, -0.6)  # below the upper axis fixed point: crawls toward phi = |psi|
+BLOWUP_START = (3.1, -0.31)  # above it: blows up along the axis
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The trajectories that ``render_portrait`` gets from ``integrate``."""
+    trajectories = []
+
+    def recording_integrate(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        trajectories.append(traj)
+        return traj
+
+    monkeypatch.setattr(portrait, "integrate", recording_integrate)
+    return trajectories
+
+
+def _px(phi, psi):
+    sx = (portrait._WIDTH - 2 * portrait._MARGIN) / (PHI_RANGE[1] - PHI_RANGE[0])
+    sy = (portrait._HEIGHT - 2 * portrait._MARGIN) / (PSI_RANGE[1] - PSI_RANGE[0])
+    x = portrait._MARGIN + (phi - PHI_RANGE[0]) * sx
+    y = portrait._HEIGHT - portrait._MARGIN - (psi - PSI_RANGE[0]) * sy
+    return portrait._fmt(x), portrait._fmt(y)
+
+
+def _inside(phi, psi):
+    return PHI_RANGE[0] <= phi <= PHI_RANGE[1] and PSI_RANGE[0] <= psi <= PSI_RANGE[1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("start", [CRAWL_START, BLOWUP_START], ids=["crawl", "blowup"])
+def test_overlay_stops_on_the_window_edge(recorded, n, start):
+    svg = portrait.render_portrait(n, PHI_RANGE, PSI_RANGE, starts=(start,))
+
+    (traj,) = recorded
+    assert traj.termination is Termination.EVENT_STOP
+    assert len(traj.t) - 1 <= 100
+
+    coords = svg.split('<polyline points="', 1)[1].split('"', 1)[0]
+    vertices = [tuple(v.split(",")) for v in coords.split()]
+    # Monitors do not take part in step control, so a run without one
+    # produces the same samples; 100 steps cover the exit.
+    cfg = IntegratorConfig(t_max=20.0, rel_tol=1e-8, abs_tol=1e-10, max_steps=100)
+    reference = integrate(field_phase(n), list(start), cfg).y
+    k = len(vertices) - 1
+    assert all(_inside(p, q) for p, q in reference[:k])
+    assert not _inside(*reference[k])  # where the run without a monitor was cut
+    assert vertices[:-1] == [_px(p, q) for p, q in reference[:k]]
+
+    (left, bottom), (right, top) = _px(PHI_RANGE[0], PSI_RANGE[0]), _px(PHI_RANGE[1], PSI_RANGE[1])
+    x, y = vertices[-1]
+    assert x in (left, right) or y in (bottom, top)
+
+
+def test_start_outside_the_window_is_not_integrated(recorded):
+    svg = portrait.render_portrait(2, PHI_RANGE, PSI_RANGE, starts=((5.0, 0.5),))
+    assert recorded == []
+    assert "<polyline" not in svg
