@@ -203,9 +203,21 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     pow_exp = 2 * n - 2
 
+    # The r-monitors, r1_phi and the diagnostics all read the spectrum at the
+    # same state, so the last one evaluated is kept.
+    memo_key: tuple[float, float] | None = None
+    memo_values: tuple[float, float, float] = (math.nan,) * 3
+
+    def ricci(y: np.ndarray) -> tuple[float, float, float]:
+        nonlocal memo_key, memo_values
+        key = (y[0], y[1])
+        if key != memo_key:
+            memo_key, memo_values = key, _phase_ricci_values(n, *key)
+        return memo_values
+
     def r_val(i: int):
         def fn(t: float, y: np.ndarray) -> float:
-            return _phase_ricci_values(n, y[0], y[1])[i]
+            return ricci(y)[i]
 
         return fn
 
@@ -213,11 +225,11 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         return y[1] * y[0] ** pow_exp
 
     def r1_phi(t: float, y: np.ndarray) -> float:
-        return _phase_ricci_values(n, y[0], y[1])[0] * y[0]
+        return ricci(y)[0] * y[0]
 
     def diagnostics(t: float, y: np.ndarray) -> Mapping[str, float]:
         phi, psi = y
-        spec = _spectrum_at(space, n, phi, psi)
+        spec = RicciSpectrum.from_eigenvalues(*ricci(y), *space.dims)
         return {
             "phi": phi,
             "psi": psi,

@@ -3,9 +3,11 @@
 The stepper is the classic Dormand-Prince 5(4) pair (seven stages, FSAL)
 with proportional-integral step-size control.  Monitored functionals are
 evaluated at every accepted step; a sign change (or level crossing) across
-a step is localized by bisection, with in-step states produced by a single
-full-order stage pass from the step's left endpoint (so localized event
-times inherit the integrator's accuracy rather than an interpolant's).
+a step is localized by Brent's method, with in-step states produced by a
+single full-order stage pass from the step's left endpoint (so localized
+event times inherit the integrator's accuracy rather than an
+interpolant's).  The search stops once the bracket is ``event_tol`` wide or
+no float lies strictly inside it.
 
 The problems integrated here are smooth and non-stiff by construction; when
 a right-hand side reports :class:`~gwflow.flows.RangeExceededError`, or the
@@ -73,8 +75,9 @@ class NoBracketError(ValueError):
 class IntegratorConfig:
     """Tolerances and limits for a run.
 
-    ``event_tol`` bounds the width of the final bisection bracket when
-    localizing an event in time.
+    ``event_tol`` bounds the width of the final sign-change bracket when
+    localizing an event in time (or the bracket is one ulp wide, where an
+    ulp of ``t`` exceeds it).
     """
 
     t_max: float
@@ -190,7 +193,17 @@ def locate_sign_change(
     interpolant: Callable[[float], np.ndarray],
     event_tol: float = 1e-10,
 ) -> float:
-    """Bisect ``f(t, interpolant(t))`` on ``[t_lo, t_hi]`` down to ``event_tol``.
+    """Locate a sign change of ``f(t, interpolant(t))`` on ``[t_lo, t_hi]``.
+
+    Brent's method (zeroin; Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4): inverse quadratic and secant steps, falling
+    back to bisection whenever an interpolated step is not short enough.
+    Every probe lies strictly inside a bracket across which ``f`` changes
+    sign, and is at least ``event_tol / 2`` (and one ulp) away from the
+    bracket's best end, so the bracket closes from both sides.  The search
+    stops when the bracket is at most ``event_tol`` wide, or when no float
+    lies strictly between its ends (for ``t >= 2**19`` one ulp exceeds the
+    default ``event_tol``); an exact zero at a probe ends it there.
 
     Requires a strict sign change across the interval; raises
     :class:`NoBracketError` otherwise.  Returns the midpoint of the final
@@ -203,17 +216,45 @@ def locate_sign_change(
         raise NoBracketError(
             f"no sign change on [{t_lo}, {t_hi}] (f values {g_lo}, {g_hi})"
         )
-    sign_lo = math.copysign(1.0, g_lo)
-    for _ in range(200):
-        if t_hi - t_lo <= event_tol:
-            break
-        mid = 0.5 * (t_lo + t_hi)
-        g_mid = f(mid, interpolant(mid))
-        if g_mid == 0.0 or math.copysign(1.0, g_mid) != sign_lo:
-            t_hi = mid
+    # b is the best estimate, c the other end of the bracket (g(b), g(c) of
+    # opposite signs), a the previous b; d is the last step, e the one before
+    b, g_b = t_hi, g_hi
+    c, g_c = t_lo, g_lo
+    a, g_a = c, g_c
+    d = e = b - c
+    while True:
+        if abs(g_c) < abs(g_b):
+            a, b, c = b, c, b
+            g_a, g_b, g_c = g_b, g_c, g_b
+        mid = 0.5 * (b + c)
+        if abs(c - b) <= event_tol or mid == b or mid == c:
+            return mid
+        delta = max(0.5 * event_tol, math.ulp(b))
+        half = mid - b
+        if abs(e) > delta and abs(g_b) < abs(g_a):
+            if a == c:  # secant
+                p = -g_b * (b - a) / (g_b - g_a)
+            else:  # inverse quadratic through a, b, c
+                s_a = (g_a - g_b) / (a - b)
+                s_c = (g_c - g_b) / (c - b)
+                den = s_c * s_a * (g_c - g_a)
+                p = -g_b * (g_c * s_c - g_a * s_a) / den if den else math.inf
+            if 2.0 * abs(p) < min(abs(e), 3.0 * abs(half) - delta):
+                e, d = d, p
+            else:
+                e = d = half
         else:
-            t_lo = mid
-    return 0.5 * (t_lo + t_hi)
+            e = d = half
+        a, g_a = b, g_b
+        t = b + (d if abs(d) > delta else math.copysign(delta, half))
+        if not (min(b, c) < t < max(b, c)):
+            t = mid
+        b, g_b = t, f(t, interpolant(t))
+        if g_b == 0.0:
+            return b
+        if (g_b < 0.0) == (g_c < 0.0):
+            c, g_c = a, g_a
+            e = d = b - a
 
 
 def _error_norm(e: np.ndarray, y0: np.ndarray, y1: np.ndarray, cfg: IntegratorConfig) -> float:
@@ -328,7 +369,7 @@ def integrate(
         f_new = stages[6].copy()  # FSAL stage = rhs(t_new, y_new)
         interp = _substep_evaluator(rhs, t, y, f_now, t_new, y_new)
 
-        stop_at: float | None = None
+        stop: Event | None = None
         step_events: list[Event] = []
         try:
             mon_now = [m.fn(t_new, y_new) - m.level for m in monitors]
@@ -342,19 +383,19 @@ def integrate(
                         interp,
                         config.event_tol,
                     )
-                    step_events.append(Event(m.kind, m.name, t_star, interp(t_star), m.level))
-                    if m.terminal and (stop_at is None or t_star < stop_at):
-                        stop_at = t_star
+                    ev = Event(m.kind, m.name, t_star, interp(t_star), m.level)
+                    step_events.append(ev)
+                    if m.terminal and (stop is None or t_star < stop.t):
+                        stop = ev
             step_events.sort(key=lambda ev: ev.t)
 
-            if stop_at is not None:
-                y_stop = interp(stop_at)
+            if stop is not None:
                 if diagnostics is not None:
-                    diag_rows.append(dict(diagnostics(stop_at, y_stop)))
-                mon_rows.append([m.fn(stop_at, y_stop) for m in monitors])
-                events.extend(ev for ev in step_events if ev.t <= stop_at)
-                ts.append(stop_at)
-                ys.append(y_stop)
+                    diag_rows.append(dict(diagnostics(stop.t, stop.state)))
+                mon_rows.append([m.fn(stop.t, stop.state) for m in monitors])
+                events.extend(ev for ev in step_events if ev.t <= stop.t)
+                ts.append(stop.t)
+                ys.append(stop.state)
                 termination = Termination.EVENT_STOP
                 break
 

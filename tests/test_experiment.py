@@ -21,6 +21,7 @@ from gwflow import (
     run_theorem_experiment,
     smallest_k_positive,
 )
+from gwflow import experiment
 from gwflow.spaces import _phase_ricci_values
 
 
@@ -122,6 +123,31 @@ class TestRunMechanics:
         b = run_theorem_experiment(ExperimentConfig(n=2, epsilon=5e-4, t_max=2e4))
         assert a.final_negative_count == b.final_negative_count
         assert a.t_r1_negative is not None and b.t_r1_negative is not None
+
+    def test_one_ricci_evaluation_per_state(self, monkeypatch):
+        # the r-monitors, r1_phi and the diagnostics share one evaluation
+        calls = []
+        trajectories = []
+
+        def counting_ricci(*args):
+            calls.append(args)
+            return _phase_ricci_values(*args)
+
+        def recording_integrate(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            trajectories.append(traj)
+            return traj
+
+        monkeypatch.setattr(experiment, "_phase_ricci_values", counting_ricci)
+        monkeypatch.setattr(experiment, "integrate", recording_integrate)
+        run_theorem_experiment(ExperimentConfig(n=2, t_max=1e6))
+
+        (traj,) = trajectories
+        assert len(calls) <= 3 * (len(traj) - 1)
+        # and every sample's diagnostics hold the spectrum at that sample
+        for key, i in (("r1", 0), ("r2", 1), ("r3", 2)):
+            expected = [_phase_ricci_values(2, phi, psi)[i] for phi, psi in traj.y]
+            assert traj.diagnostics[key].tolist() == expected
 
     def test_json_schema(self, report_n2):
         d = report_n2.to_json_dict()

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gwflow import (
     IntegratorConfig,
@@ -18,11 +22,36 @@ from gwflow import (
     volume,
     x3_from_volume_one,
 )
+from gwflow.integrate import _substep_evaluator
+from gwflow.spaces import _phase_ricci_values
 
 
 def constant_field(value):
     v = np.atleast_1d(np.asarray(value, dtype=float))
     return lambda t, y: v
+
+
+def identity(t):
+    return np.array([t])
+
+
+def recording(g):
+    """``(f, probes)``: ``f(t, y) = g(y[0])``, with every ``(t, f)`` recorded."""
+    probes = []
+
+    def f(t, y):
+        value = g(y[0])
+        probes.append((t, value))
+        return value
+
+    return f, probes
+
+
+def brackets_within(t, probes, tol):
+    """Whether two probes of opposite sign, or one exact zero, lie within
+    ``tol`` of ``t``."""
+    near = [g for p, g in probes if abs(p - t) <= tol]
+    return 0.0 in near or (min(near) < 0.0 < max(near))
 
 
 class TestConfig:
@@ -147,6 +176,67 @@ class TestLocateSignChange:
         fine = locate_sign_change(f, 1.0, 2.0, interp, 1e-7)
         assert abs(fine - coarse) < 1e-6
         assert abs(fine - np.pi / 2) <= 1e-7
+
+    def test_smooth_root_in_few_probes(self):
+        # bisection from width 1 down to 1e-10 takes 34 halvings plus the ends
+        f, probes = recording(math.cos)
+        t = locate_sign_change(f, 1.0, 2.0, identity, 1e-10)
+        assert abs(t - math.pi / 2) <= 1e-10
+        assert len(probes) <= 12
+
+    def test_one_ulp_bracket_does_not_stall(self):
+        # near 6e5 one ulp (1.16e-10) exceeds event_tol, so no bracket can be
+        # event_tol wide; the search ends when no float lies inside it
+        root = 6e5 + 0.3712345
+        f, probes = recording(lambda x: x - root)
+        t = locate_sign_change(f, 6e5, 6e5 + 1.0, identity, 1e-10)
+        assert math.ulp(root) > 1e-10
+        assert abs(t - root) <= math.ulp(root)
+        assert len(probes) <= 15
+
+    def test_kinked_functional(self):
+        # signed distance into the unit box along a line that leaves it near
+        # the corner (1, 1), as the portrait's window monitor sees it
+        def depth(s):
+            phi, psi = 0.5 + s, 0.5 + 0.999 * s
+            return min(phi, 1.0 - phi, psi, 1.0 - psi)
+
+        f, probes = recording(depth)
+        t = locate_sign_change(f, 0.0, 1.0, identity, 1e-10)
+        assert abs(t - 0.5) <= 1e-10
+        assert brackets_within(t, probes, 1e-10)
+
+    @given(
+        roots=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=3, max_size=3),
+        scale=st.sampled_from([-3.0, -1e-3, 1e-3, 3.0]),
+        lo=st.floats(min_value=-3.0, max_value=0.0),
+        hi=st.floats(min_value=0.0, max_value=3.0),
+        event_tol=st.sampled_from([1e-6, 1e-10, 1e-14]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cubic_sign_change_within_tolerance(self, roots, scale, lo, hi, event_tol):
+        r1, r2, r3 = roots
+        f, probes = recording(lambda x: scale * (x - r1) * (x - r2) * (x - r3))
+        assume(f(lo, identity(lo)) * f(hi, identity(hi)) < 0.0)
+        t = locate_sign_change(f, lo, hi, identity, event_tol)
+        assert lo <= t <= hi
+        assert brackets_within(t, probes, event_tol)
+
+    def test_agrees_with_brentq_on_a_step(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rhs = field_reparam(2)
+        r1 = lambda t, y: _phase_ricci_values(2, y[0], y[1])[0]
+        traj = integrate(rhs, [4.0, -1e-3], IntegratorConfig(t_max=1e6), [Monitor("r1", r1)])
+        (event,) = traj.events
+        k = int(np.searchsorted(traj.t, event.t))
+        t0, t1 = traj.t[k - 1], traj.t[k]
+        y0 = traj.y[k - 1]
+        interp = _substep_evaluator(rhs, t0, y0, rhs(t0, y0), t1, traj.y[k])
+
+        t = locate_sign_change(r1, t0, t1, interp, 1e-10)
+        reference = optimize.brentq(lambda tt: r1(tt, interp(tt)), t0, t1, xtol=1e-13)
+        assert t == event.t
+        assert abs(t - reference) <= 1e-10
 
 
 class TestConservationAndInvariance:

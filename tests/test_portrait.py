@@ -67,3 +67,19 @@ def test_start_outside_the_window_is_not_integrated(recorded):
     svg = portrait.render_portrait(2, PHI_RANGE, PSI_RANGE, starts=((5.0, 0.5),))
     assert recorded == []
     assert "<polyline" not in svg
+
+
+def test_start_on_the_edge_leaving_the_window_is_not_integrated(recorded):
+    # on psi = psi_min, with the flow heading to smaller psi
+    svg = portrait.render_portrait(2, PHI_RANGE, (CRAWL_START[1], 3.0), starts=(CRAWL_START,))
+    assert recorded == []
+    assert "<polyline" not in svg
+
+
+def test_start_on_the_edge_entering_the_window_is_drawn(recorded):
+    # on psi = psi_max, with the flow heading into the window
+    svg = portrait.render_portrait(2, PHI_RANGE, (-3.0, CRAWL_START[1]), starts=(CRAWL_START,))
+    (traj,) = recorded
+    assert traj.termination is Termination.EVENT_STOP
+    assert len(traj.t) - 1 <= 100
+    assert svg.count("<polyline") == 1
