@@ -16,19 +16,14 @@ negative), 2 integrator error, 3 bad initial data, 4 failed invariant check.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Iterable
 
 from . import checks as checks_mod
 from .experiment import BadInitialDataError, ExperimentConfig, run_theorem_experiment
-from .flows import (
-    field_full,
-    field_phase,
-    field_reduced,
-    field_reparam,
-    field_submersion,
-)
+from .flows import SYSTEMS
 from .integrate import IntegratorConfig, Termination, Trajectory, integrate
 from .portrait import render_portrait
 from .spaces import (
@@ -43,6 +38,9 @@ from .spaces import (
 )
 
 CSV_HEADER = "t,x1,x2,x3,phi,psi,r1,r2,r3,S,V,neg_count"
+
+# the state flags of all systems, in first-use order (x1, x2, x3, phi, psi)
+_STATE_FLAGS = tuple(dict.fromkeys(k for s in SYSTEMS.values() for k in s.state))
 
 _ERROR_TERMINATIONS = (
     Termination.STEP_UNDERFLOW,
@@ -67,26 +65,15 @@ def _build_parser() -> _Parser:
 
     flow = sub.add_parser("flow", help="integrate a system and write a CSV trajectory")
     flow.add_argument("--n", type=int, default=None)
-    flow.add_argument(
-        "--system",
-        choices=["full", "reduced", "phase", "reparam", "submersion"],
-        default=None,
-    )
-    for name in ("x1", "x2", "x3", "phi", "psi"):
+    flow.add_argument("--system", choices=list(SYSTEMS), default=None)
+    for name in _STATE_FLAGS:
         flow.add_argument(f"--{name}", type=float, default=None)
-    _add_integrator_args(flow)
+    _add_config_args(flow, IntegratorConfig)
     flow.add_argument("--config", default=None, help="JSON file with defaults for these flags")
     flow.add_argument("--output", "-o", default=None, help="CSV path (default: stdout)")
 
     exp = sub.add_parser("experiment", help="run the long-time experiment")
-    exp.add_argument("--n", type=int, default=None)
-    exp.add_argument("--N", type=float, default=None)
-    exp.add_argument("--epsilon", type=float, default=None)
-    exp.add_argument("--t-max", type=float, default=None)
-    exp.add_argument("--psi-phi-threshold", type=float, default=None)
-    exp.add_argument("--r1-phi-threshold", type=float, default=None)
-    exp.add_argument("--rel-tol", type=float, default=None)
-    exp.add_argument("--abs-tol", type=float, default=None)
+    _add_config_args(exp, ExperimentConfig)
     exp.add_argument("--config", default=None)
     exp.add_argument("--output", "-o", default=None, help="JSON path (default: stdout)")
 
@@ -117,14 +104,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _add_integrator_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--rel-tol", type=float, default=None)
-    p.add_argument("--abs-tol", type=float, default=None)
-    p.add_argument("--initial-step", type=float, default=None)
-    p.add_argument("--max-step", type=float, default=None)
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--event-tol", type=float, default=None)
+def _defaults(cls) -> dict:
+    """The fields of a config dataclass with their defaults (``None`` where
+    the field has none)."""
+    return {
+        f.name: None if f.default is dataclasses.MISSING else f.default
+        for f in dataclasses.fields(cls)
+    }
+
+
+def _add_config_args(p: argparse.ArgumentParser, cls) -> None:
+    """One flag per field of a config dataclass, typed by its annotation:
+    ``int`` fields take integers, the rest (``float | None`` too) floats."""
+    for f in dataclasses.fields(cls):
+        kind = int if f.type in (int, "int") else float
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=kind, default=None)
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
@@ -149,18 +143,6 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     return merged
 
 
-def _integrator_config(opts: dict) -> IntegratorConfig:
-    return IntegratorConfig(
-        t_max=opts["t_max"],
-        rel_tol=opts["rel_tol"],
-        abs_tol=opts["abs_tol"],
-        initial_step=opts["initial_step"],
-        max_step=opts["max_step"],
-        max_steps=opts["max_steps"],
-        event_tol=opts["event_tol"],
-    )
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -175,26 +157,24 @@ def _g17(v: float) -> str:
 
 def _csv_lines(system: str, n: int, traj: Trajectory) -> Iterable[str]:
     space = make_pn(n)
-    yield CSV_HEADER
-    for t, y in zip(traj.t, traj.y):
-        if system == "full":
-            x1, x2, x3 = (float(v) for v in y)
-            phi, psi = x1 + x2, x1 - x2
-            spec = ricci_coefficients(space, Metric(x1, x2, x3))
-        elif system == "reduced":
-            x1, x2 = (float(v) for v in y)
-            x3 = x3_from_volume_one(n, x1, x2)
-            phi, psi = x1 + x2, x1 - x2
-            spec = ricci_coefficients(space, Metric(x1, x2, x3))
-        else:
-            if system == "submersion":
-                phi, psi = float(y[0]), 0.0
-            else:
-                phi, psi = (float(v) for v in y)
+    cols = traj.y.T.tolist()
+    if SYSTEMS[system].state[0] == "x1":  # scale factors; x3 completes the slice
+        if len(cols) == 2:
+            cols.append([x3_from_volume_one(n, x1, x2) for x1, x2 in zip(*cols)])
+        rows = [(Metric(*xs), xs[0] + xs[1], xs[0] - xs[1]) for xs in zip(*cols)]
+        spectra = (ricci_coefficients(space, m) for m, _, _ in rows)
+    else:  # phase coordinates; the submersion runs on the axis psi = 0
+        if len(cols) == 1:
+            cols.append([0.0] * len(traj))
+        rows = []
+        for phi, psi in zip(*cols):
             x1, x2 = 0.5 * (phi + psi), 0.5 * (phi - psi)
-            x3 = x3_from_volume_one(n, x1, x2)
-            spec = ricci_phase(PhasePoint(phi, psi, n))
-        v = volume(space, Metric(x1, x2, x3))
+            rows.append((Metric(x1, x2, x3_from_volume_one(n, x1, x2)), phi, psi))
+        spectra = (ricci_phase(PhasePoint(phi, psi, n)) for _, phi, psi in rows)
+    yield CSV_HEADER
+    for t, (m, phi, psi), spec in zip(traj.t.tolist(), rows, spectra):
+        x1, x2, x3 = m.xs
+        v = volume(space, m)
         cells = [
             _g17(float(t)), _g17(x1), _g17(x2), _g17(x3), _g17(phi), _g17(psi),
             _g17(spec.r1), _g17(spec.r2), _g17(spec.r3), _g17(spec.scalar),
@@ -206,26 +186,9 @@ def _csv_lines(system: str, n: int, traj: Trajectory) -> Iterable[str]:
 _FLOW_DEFAULTS = {
     "n": None,
     "system": None,
-    "x1": None,
-    "x2": None,
-    "x3": None,
-    "phi": None,
-    "psi": None,
+    **dict.fromkeys(_STATE_FLAGS),
+    **_defaults(IntegratorConfig),
     "t_max": 10.0,
-    "rel_tol": 1e-10,
-    "abs_tol": 1e-12,
-    "initial_step": 1e-3,
-    "max_step": float("inf"),
-    "max_steps": 1_000_000,
-    "event_tol": 1e-10,
-}
-
-_REQUIRED_STATE = {
-    "full": ("x1", "x2", "x3"),
-    "reduced": ("x1", "x2"),
-    "phase": ("phi", "psi"),
-    "reparam": ("phi", "psi"),
-    "submersion": ("phi",),
 }
 
 
@@ -236,34 +199,19 @@ def cmd_flow(args: argparse.Namespace) -> int:
         raise _UsageError("flow requires --n and --system")
     if not (isinstance(n, int) and n >= 2):
         raise _UsageError(f"--n must be an integer >= 2, got {n}")
-    if system not in _REQUIRED_STATE:
+    if system not in SYSTEMS:
         raise _UsageError(f"unknown system {system!r}")
-    missing = [f"--{k}" for k in _REQUIRED_STATE[system] if opts[k] is None]
+    state = SYSTEMS[system].state
+    missing = [f"--{k}" for k in state if opts[k] is None]
     if missing:
         raise _UsageError(f"system {system!r} requires {', '.join(missing)}")
 
-    if system == "full":
-        rhs = field_full(make_pn(n))
-        y0 = [opts["x1"], opts["x2"], opts["x3"]]
-    elif system == "reduced":
-        rhs = field_reduced(n)
-        y0 = [opts["x1"], opts["x2"]]
-    elif system == "phase":
-        rhs = field_phase(n)
-        y0 = [opts["phi"], opts["psi"]]
-    elif system == "reparam":
-        rhs = field_reparam(n)
-        y0 = [opts["phi"], opts["psi"]]
-    else:
-        rhs = field_submersion(n)
-        y0 = [opts["phi"]]
-
     try:
-        config = _integrator_config(opts)
+        config = IntegratorConfig(**{k: opts[k] for k in _defaults(IntegratorConfig)})
     except ValueError as exc:
         raise _UsageError(str(exc))
     try:
-        traj = integrate(rhs, y0, config)
+        traj = integrate(SYSTEMS[system].field(n), [opts[k] for k in state], config)
     except ValueError as exc:
         raise _UsageError(f"invalid initial state: {exc}")
 
@@ -271,33 +219,12 @@ def cmd_flow(args: argparse.Namespace) -> int:
     return 0 if traj.termination in (Termination.REACHED_TMAX, Termination.EVENT_STOP) else 2
 
 
-_EXPERIMENT_DEFAULTS = {
-    "n": None,
-    "N": None,
-    "epsilon": 1e-3,
-    "t_max": 1e4,
-    "psi_phi_threshold": -1e3,
-    "r1_phi_threshold": -1e2,
-    "rel_tol": 1e-10,
-    "abs_tol": 1e-12,
-}
-
-
 def cmd_experiment(args: argparse.Namespace) -> int:
-    opts = _merge_config(args, _EXPERIMENT_DEFAULTS)
+    opts = _merge_config(args, _defaults(ExperimentConfig))
     if opts["n"] is None:
         raise _UsageError("experiment requires --n")
     try:
-        cfg = ExperimentConfig(
-            n=opts["n"],
-            N=opts["N"],
-            epsilon=opts["epsilon"],
-            t_max=opts["t_max"],
-            psi_phi_threshold=opts["psi_phi_threshold"],
-            r1_phi_threshold=opts["r1_phi_threshold"],
-            rel_tol=opts["rel_tol"],
-            abs_tol=opts["abs_tol"],
-        )
+        cfg = ExperimentConfig(**opts)
     except ValueError as exc:
         raise _UsageError(str(exc))
 

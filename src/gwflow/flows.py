@@ -15,6 +15,10 @@ they can cross-check the transcription:
 turns finite-time blow-up of the original system into linear growth
 ``phi(t) = t + phi(0)``.
 
+:data:`SYSTEMS` names the five formulations with their state components and
+integrator-ready vector fields (the ``field_*`` constructors); the CLI reads
+every per-system fact from it.
+
 All phase-side functions guard the powers ``(phi**2 - psi**2)**n`` against
 leaving the representable range and raise :class:`RangeExceededError`
 instead of returning infinities; long runs deliberately drive ``phi`` to
@@ -24,12 +28,13 @@ infinity and integration must stop cleanly.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .spaces import GWSpace, _require_n, _ricci_values
+from .spaces import GWSpace, _require_n, _ricci_values, make_pn
 
 __all__ = [
     "RangeExceededError",
@@ -46,6 +51,8 @@ __all__ = [
     "field_phase",
     "field_reparam",
     "field_submersion",
+    "System",
+    "SYSTEMS",
 ]
 
 RANGE_LIMIT = 1e280
@@ -204,11 +211,11 @@ def submersion_fixed_points(n: int) -> tuple[float, float]:
     return u_minus ** e, u_plus ** e
 
 
-def field_full(space: GWSpace, normalized: bool = True) -> Callable[[float, np.ndarray], np.ndarray]:
+def field_full(space: GWSpace) -> Callable[[float, np.ndarray], np.ndarray]:
     """Integrator-ready vector field for :func:`rhs_full` (state ``[x1, x2, x3]``)."""
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(rhs_full(space, y[0], y[1], y[2], normalized=normalized))
+        return np.array(rhs_full(space, y[0], y[1], y[2]))
 
     return f
 
@@ -247,3 +254,25 @@ def field_submersion(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
         return np.array([rhs_submersion(n, y[0])])
 
     return f
+
+
+@dataclass(frozen=True)
+class System:
+    """One formulation on ``P_n``: its state components, in order, and
+    ``field(n)``, the vector field it integrates."""
+
+    name: str
+    state: tuple[str, ...]
+    field: Callable[[int], Callable[[float, np.ndarray], np.ndarray]]
+
+
+SYSTEMS: dict[str, System] = {
+    s.name: s
+    for s in (
+        System("full", ("x1", "x2", "x3"), lambda n: field_full(make_pn(n))),
+        System("reduced", ("x1", "x2"), field_reduced),
+        System("phase", ("phi", "psi"), field_phase),
+        System("reparam", ("phi", "psi"), field_reparam),
+        System("submersion", ("phi",), field_submersion),
+    )
+}

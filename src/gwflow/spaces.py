@@ -213,17 +213,21 @@ def ricci_coefficients(space: GWSpace, metric: Metric) -> RicciSpectrum:
     return RicciSpectrum.from_eigenvalues(r1, r2, r3, *space.dims)
 
 
+def _log_volume(space: GWSpace, metric: Metric) -> float:
+    return (
+        math.log(metric.x1) / space.a1
+        + math.log(metric.x2) / space.a2
+        + math.log(metric.x3) / space.a3
+    )
+
+
 def volume(space: GWSpace, metric: Metric) -> float:
     """Volume functional ``x1**(1/a1) * x2**(1/a2) * x3**(1/a3)``.
 
     Accumulated in log space: the exponents ``1/a_i`` reach ``2(n+2)`` on
     ``P_n`` and direct products overflow for moderate scale factors.
     """
-    log_v = (
-        math.log(metric.x1) / space.a1
-        + math.log(metric.x2) / space.a2
-        + math.log(metric.x3) / space.a3
-    )
+    log_v = _log_volume(space, metric)
     if log_v > 709.0:  # exp overflow threshold for doubles
         raise OverflowError(f"volume exceeds representable range (log V = {log_v})")
     return math.exp(log_v)
@@ -231,13 +235,8 @@ def volume(space: GWSpace, metric: Metric) -> float:
 
 def normalize_to_unit_volume(space: GWSpace, metric: Metric) -> Metric:
     """Rescale ``metric`` to volume one."""
-    log_v = (
-        math.log(metric.x1) / space.a1
-        + math.log(metric.x2) / space.a2
-        + math.log(metric.x3) / space.a3
-    )
     exponent_sum = 1.0 / space.a1 + 1.0 / space.a2 + 1.0 / space.a3
-    c = math.exp(-log_v / exponent_sum)
+    c = math.exp(-_log_volume(space, metric) / exponent_sum)
     return Metric(c * metric.x1, c * metric.x2, c * metric.x3)
 
 
@@ -323,17 +322,6 @@ def negative_count(spectrum: RicciSpectrum) -> int:
 
 
 def smallest_k_positive(spectrum: RicciSpectrum) -> int | None:
-    """Smallest ``k`` for which the spectrum is k-positive, or ``None``.
-
-    Positivity of the k-smallest sum is monotone upward in ``k``, so a single
-    scan suffices; ``None`` means even the full trace is nonpositive.
-    """
-    total = 0.0
-    k = 0
-    for value, mult in _sorted_blocks(spectrum):
-        for _ in range(mult):
-            total += value
-            k += 1
-            if total > 0.0:
-                return k
-    return None
+    """Smallest ``k`` with :func:`k_positive`, or ``None`` when even the full
+    trace is nonpositive (the same blockwise sums, so both agree on roundoff)."""
+    return next((k for k in range(1, spectrum.d + 1) if k_positive(spectrum, k)), None)

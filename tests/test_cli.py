@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,6 +8,9 @@ import xml.dom.minidom
 import pytest
 
 from gwflow import cli
+from gwflow.experiment import ExperimentConfig
+from gwflow.flows import SYSTEMS
+from gwflow.integrate import IntegratorConfig
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +129,74 @@ class TestFlowCommand:
         code, _, err = run_cli(capsys, "flow", "--n", "2", "--config", str(cfg))
         assert code == 1
         assert "frobnicate" in err
+
+
+def _flow_option(dest):
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices["flow"]._actions if a.dest == dest)
+
+
+def _field_values(cls, **overrides):
+    values = {f.name: f.default for f in dataclasses.fields(cls)}
+    values.update(overrides)
+    return values
+
+
+def _set_option(tmp_path, name, value, how):
+    if how == "flag":
+        return [f"--{name.replace('_', '-')}", str(value)]
+    path = tmp_path / "opts.json"
+    path.write_text(json.dumps({name: value}))
+    return ["--config", str(path)]
+
+
+START = {"x1": 1.1, "x2": 0.9, "x3": 1.3, "phi": 2.5, "psi": -0.2}
+INTEGRATOR_VALUES = _field_values(IntegratorConfig, t_max=0.5, max_step=1.0)
+EXPERIMENT_VALUES = _field_values(ExperimentConfig, n=2, N=4.0, t_max=1e6)
+
+
+class TestSystemRegistry:
+    def test_system_choices(self):
+        assert _flow_option("system").choices == list(SYSTEMS)
+
+    @pytest.mark.parametrize("system", list(SYSTEMS))
+    def test_missing_last_state_flag_is_named(self, capsys, system):
+        *given, last = SYSTEMS[system].state
+        argv = ["flow", "--n", "2", "--system", system]
+        for name in given:
+            argv += [f"--{name}", str(START[name])]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert f"--{last}" in err
+
+    @pytest.mark.parametrize("system", list(SYSTEMS))
+    def test_first_row_is_the_start_state(self, capsys, system):
+        argv = ["flow", "--n", "2", "--system", system, "--t-max", "0.1"]
+        for name in SYSTEMS[system].state:
+            argv += [f"--{name}", str(START[name])]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert {name: float(rows[0][name]) for name in SYSTEMS[system].state} == {
+            name: START[name] for name in SYSTEMS[system].state
+        }
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("name", list(INTEGRATOR_VALUES))
+    def test_flow_accepts_integrator_field(self, capsys, tmp_path, name, how):
+        argv = ["flow", "--n", "2", "--system", "phase", "--phi", "2", "--psi", "0"]
+        argv += _set_option(tmp_path, name, INTEGRATOR_VALUES[name], how)
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("name", list(EXPERIMENT_VALUES))
+    def test_experiment_accepts_experiment_field(self, capsys, tmp_path, name, how):
+        argv = ["experiment"] + ([] if name == "n" else ["--n", "2"])
+        argv += _set_option(tmp_path, name, EXPERIMENT_VALUES[name], how)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["n"] == 2
 
 
 class TestExperimentCommand:

@@ -220,6 +220,37 @@ class TestDivergenceCheck:
         assert flags == {"psi_phi_pow": False, "r1_phi": False}
 
 
+class TestDivergenceFromDiagnostics:
+    @pytest.mark.parametrize("n,t_max", [(2, 1e6), (3, 1e6), (4, 1e6), (5, 1e6), (2, 1.0)])
+    def test_report_flags_match_divergence_check(self, monkeypatch, n, t_max):
+        true_values = experiment._phase_ricci_values
+        calls = {"total": 0, "at_return": 0}
+        trajectories = []
+
+        def counted(*args):
+            calls["total"] += 1
+            return true_values(*args)
+
+        def recorded(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            calls["at_return"] = calls["total"]
+            trajectories.append(traj)
+            return traj
+
+        monkeypatch.setattr(experiment, "_phase_ricci_values", counted)
+        monkeypatch.setattr(experiment, "integrate", recorded)
+        cfg = ExperimentConfig(n=n, t_max=t_max)
+        report = run_theorem_experiment(cfg)
+        # once integration is over, only the final spectrum is evaluated
+        assert calls["total"] - calls["at_return"] <= 1
+        (traj,) = trajectories
+        flags = divergence_check(traj, n, cfg.psi_phi_threshold, cfg.r1_phi_threshold)
+        assert flags == {
+            "psi_phi_pow": report.divergence_psi_phi_pow,
+            "r1_phi": report.divergence_r1_phi,
+        }
+
+
 class TestPositivityTimeline:
     def test_requires_spectra(self, trajectory_n2):
         with pytest.raises(ValueError):
