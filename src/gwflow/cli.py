@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import inspect
 import json
 import sys
 from typing import Iterable
@@ -49,6 +51,17 @@ _ERROR_TERMINATIONS = (
 )
 
 
+def _param_default(fn, name: str):
+    """The default value of parameter ``name`` in ``fn``'s signature."""
+    return inspect.signature(fn).parameters[name].default
+
+
+# portrait and check defaults, read off the library functions they call
+_GRID = _param_default(render_portrait, "grid")
+_TRAJ_T_MAX = _param_default(render_portrait, "traj_t_max")
+_N_MAX = _param_default(checks_mod.run_invariant_checks, "n_max")
+
+
 class _UsageError(Exception):
     pass
 
@@ -59,7 +72,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process; every parse starts from a fresh namespace
     parser = _Parser(prog="gwflow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -93,7 +108,7 @@ def _build_parser() -> _Parser:
         "--traj-t-max",
         type=float,
         default=None,
-        help="cap on each overlay's flow time (default 20)",
+        help=f"cap on each overlay's flow time (default {_TRAJ_T_MAX:g})",
     )
     por.add_argument("--config", default=None)
     por.add_argument("--output", "-o", default=None, help="SVG path (default: stdout)")
@@ -247,9 +262,9 @@ _PORTRAIT_DEFAULTS = {
     "n": None,
     "phi_range": None,
     "psi_range": None,
-    "grid": "15x9",
+    "grid": "x".join(map(str, _GRID)),
     "start": None,
-    "traj_t_max": 20.0,
+    "traj_t_max": _TRAJ_T_MAX,
 }
 
 
@@ -297,7 +312,7 @@ def cmd_portrait(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    opts = _merge_config(args, {"n_max": 6})
+    opts = _merge_config(args, {"n_max": _N_MAX})
     n_max = opts["n_max"]
     if not (isinstance(n_max, int) and n_max >= 2):
         raise _UsageError(f"--n-max must be an integer >= 2, got {n_max}")

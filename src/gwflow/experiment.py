@@ -204,28 +204,32 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     memo_key: tuple[float, float] | None = None
     memo_values: tuple[float, float, float] = (math.nan,) * 3
 
-    def ricci(y: np.ndarray) -> tuple[float, float, float]:
+    # Every closure unpacks its state once with tolist(), so that the
+    # arithmetic runs on floats rather than on numpy scalars.
+    def ricci(phi: float, psi: float) -> tuple[float, float, float]:
         nonlocal memo_key, memo_values
-        key = (y[0], y[1])
+        key = (phi, psi)
         if key != memo_key:
-            memo_key, memo_values = key, _phase_ricci_values(n, *key)
+            memo_key, memo_values = key, _phase_ricci_values(n, phi, psi)
         return memo_values
 
     def r_val(i: int):
         def fn(t: float, y: np.ndarray) -> float:
-            return ricci(y)[i]
+            return ricci(*y.tolist())[i]
 
         return fn
 
     def psi_phi_pow(t: float, y: np.ndarray) -> float:
-        return y[1] * y[0] ** pow_exp
+        phi, psi = y.tolist()
+        return psi * phi ** pow_exp
 
     def r1_phi(t: float, y: np.ndarray) -> float:
-        return ricci(y)[0] * y[0]
+        phi, psi = y.tolist()
+        return ricci(phi, psi)[0] * phi
 
     def diagnostics(t: float, y: np.ndarray) -> Mapping[str, float]:
-        phi, psi = y
-        spec = RicciSpectrum.from_eigenvalues(*ricci(y), *space.dims)
+        phi, psi = y.tolist()
+        spec = RicciSpectrum.from_eigenvalues(*ricci(phi, psi), *space.dims)
         return {
             "phi": phi,
             "psi": psi,
@@ -243,7 +247,7 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         Monitor("r1", r_val(0)),
         Monitor("r2", r_val(1)),
         Monitor("r3", r_val(2)),
-        Monitor("psi", lambda t, y: y[1]),
+        Monitor("psi", lambda t, y: y.tolist()[1]),
         Monitor("psi_phi_pow", psi_phi_pow, level=cfg.psi_phi_threshold, kind="threshold"),
         Monitor("r1_phi", r1_phi, level=cfg.r1_phi_threshold, kind="threshold"),
     ]
@@ -257,7 +261,7 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # monotonicity of the original-time system, sampled along the run
     dphi_min = math.inf
     dpsi_min = math.inf
-    for phi, psi in traj.y:
+    for phi, psi in traj.y.tolist():
         dphi, dpsi = rhs_phase(n, phi, psi)
         dphi_min = min(dphi_min, dphi)
         dpsi_min = min(dpsi_min, dpsi)

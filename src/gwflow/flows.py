@@ -215,7 +215,7 @@ def field_full(space: GWSpace) -> Callable[[float, np.ndarray], np.ndarray]:
     """Integrator-ready vector field for :func:`rhs_full` (state ``[x1, x2, x3]``)."""
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(rhs_full(space, y[0], y[1], y[2]))
+        return np.array(rhs_full(space, *y.tolist()))
 
     return f
 
@@ -224,7 +224,7 @@ def field_reduced(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
     """Vector field for :func:`rhs_reduced_x` (state ``[x1, x2]``)."""
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(rhs_reduced_x(n, y[0], y[1]))
+        return np.array(rhs_reduced_x(n, *y.tolist()))
 
     return f
 
@@ -233,7 +233,7 @@ def field_phase(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
     """Vector field for :func:`rhs_phase` (state ``[phi, psi]``)."""
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(rhs_phase(n, y[0], y[1]))
+        return np.array(rhs_phase(n, *y.tolist()))
 
     return f
 
@@ -242,7 +242,7 @@ def field_reparam(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
     """Vector field for :func:`rhs_reparam` (state ``[phi, psi]``)."""
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(rhs_reparam(n, y[0], y[1]))
+        return np.array(rhs_reparam(n, *y.tolist()))
 
     return f
 
@@ -251,7 +251,7 @@ def field_submersion(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
     """Vector field for :func:`rhs_submersion` (state ``[phi]``)."""
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array([rhs_submersion(n, y[0])])
+        return np.array([rhs_submersion(n, *y.tolist())])
 
     return f
 

@@ -9,6 +9,14 @@ event times inherit the integrator's accuracy rather than an
 interpolant's).  The search stops once the bracket is ``event_tol`` wide or
 no float lies strictly inside it.
 
+The states here have one to three components, where numpy's per-call
+overhead costs far more than the arithmetic, so each step runs on Python
+floats: the state, the stages, the 5th-order update, the error estimate and
+its norm are lists of floats, the stages unrolled as in Hairer's DOPRI5.
+The right-hand side still receives every stage state as a fresh ndarray;
+monitors and diagnostics receive ndarrays, and a :class:`Trajectory` and
+its events hold ndarrays.
+
 The problems integrated here are smooth and non-stiff by construction; when
 a right-hand side reports :class:`~gwflow.flows.RangeExceededError`, or the
 step size underflows near a finite-time blow-up, integration terminates
@@ -39,21 +47,22 @@ __all__ = [
 
 MIN_STEP = 1e-14
 
-# Dormand-Prince 5(4): stage nodes, stage coefficients, 5th-order weights and
-# the 5th-minus-4th-order error weights.  b[6] = 0 makes the pair FSAL: the
-# last stage equals the derivative at the accepted point.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, *Solving ODEs I*, II.5):
+# stage nodes c, stage coefficients a, 5th-order weights b and the
+# 5th-minus-4th-order error weights e.  The zero entries a72 = b2 = e2 = 0 are
+# left out, and c6 = c7 = 1.  The last stage's coefficients equal b and
+# b7 = 0, which makes the pair FSAL: the last stage's state is the 5th-order
+# solution and the stage itself the derivative there.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+)
 
 
 class Termination(enum.Enum):
@@ -161,6 +170,50 @@ class Trajectory:
         return None
 
 
+def _dopri_step(rhs, t, y, k1, h):
+    """One Dormand-Prince step of size ``h`` from ``(t, y)``, ``k1 = rhs(t, y)``.
+
+    States and stages are lists of floats; ``rhs`` is handed each stage state
+    as a fresh ndarray.  Returns the 5th-order solution (the state of the
+    last stage), the last stage (the derivative there) and the error
+    estimate.
+    """
+
+    def f(tt, yy):
+        return np.asarray(rhs(tt, np.array(yy)), dtype=float).tolist()
+
+    k2 = f(t + _C2 * h, [a + h * (_A21 * p) for a, p in zip(y, k1)])
+    k3 = f(t + _C3 * h, [a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, k1, k2)])
+    k4 = f(
+        t + _C4 * h,
+        [a + h * (_A41 * p + _A42 * q + _A43 * r) for a, p, q, r in zip(y, k1, k2, k3)],
+    )
+    k5 = f(
+        t + _C5 * h,
+        [
+            a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * s)
+            for a, p, q, r, s in zip(y, k1, k2, k3, k4)
+        ],
+    )
+    k6 = f(
+        t + h,
+        [
+            a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * s + _A65 * u)
+            for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)
+        ],
+    )
+    y_new = [
+        a + h * (_B1 * p + _B3 * r + _B4 * s + _B5 * u + _B6 * v)
+        for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)
+    ]
+    k7 = f(t + h, y_new)
+    err = [
+        h * (_E1 * p + _E3 * r + _E4 * s + _E5 * u + _E6 * v + _E7 * w)
+        for p, r, s, u, v, w in zip(k1, k3, k4, k5, k6, k7)
+    ]
+    return y_new, k7, err
+
+
 def _substep_evaluator(rhs, t0, y0, f0, t1, y1):
     """In-step state evaluator: one full-order stage pass from ``(t0, y0)``.
 
@@ -169,19 +222,21 @@ def _substep_evaluator(rhs, t0, y0, f0, t1, y1):
     cubic's interpolation error moves localized event times by far more
     than the integration error does.  Taking a single embedded-pair step of
     size ``t - t0`` keeps in-step states at the integrator's own order.
+
+    ``y0`` and ``f0 = rhs(t0, y0)`` may be ndarrays or lists of floats; the
+    evaluator returns a fresh ndarray.  :func:`integrate` builds one only on
+    a step across which some monitor changes sign.
     """
+    y0 = [float(v) for v in y0]
+    f0 = [float(v) for v in f0]
 
     def interp(t: float) -> np.ndarray:
         tau = t - t0
         if tau <= 0.0:
-            return y0.copy()
+            return np.array(y0)
         if t >= t1:
-            return y1.copy()
-        k = np.empty((7, y0.size))
-        k[0] = f0
-        for i in range(1, 7):
-            k[i] = rhs(t0 + _C[i] * tau, y0 + tau * (_A[i] @ k[:i]))
-        return y0 + tau * (_B @ k)
+            return np.array(y1, dtype=float)
+        return np.array(_dopri_step(rhs, t0, y0, f0, tau)[0])
 
     return interp
 
@@ -192,6 +247,8 @@ def locate_sign_change(
     t_hi: float,
     interpolant: Callable[[float], np.ndarray],
     event_tol: float = 1e-10,
+    g_lo: float | None = None,
+    g_hi: float | None = None,
 ) -> float:
     """Locate a sign change of ``f(t, interpolant(t))`` on ``[t_lo, t_hi]``.
 
@@ -208,10 +265,13 @@ def locate_sign_change(
     Requires a strict sign change across the interval; raises
     :class:`NoBracketError` otherwise.  Returns the midpoint of the final
     bracket, so the functional has changed sign within ``event_tol`` of the
-    returned time.
+    returned time.  ``g_lo`` and ``g_hi``, when given, are the values of
+    ``f`` at the ends, which are then not evaluated again.
     """
-    g_lo = f(t_lo, interpolant(t_lo))
-    g_hi = f(t_hi, interpolant(t_hi))
+    if g_lo is None:
+        g_lo = f(t_lo, interpolant(t_lo))
+    if g_hi is None:
+        g_hi = f(t_hi, interpolant(t_hi))
     if not (g_lo * g_hi < 0.0):
         raise NoBracketError(
             f"no sign change on [{t_lo}, {t_hi}] (f values {g_lo}, {g_hi})"
@@ -257,11 +317,6 @@ def locate_sign_change(
             e = d = b - a
 
 
-def _error_norm(e: np.ndarray, y0: np.ndarray, y1: np.ndarray, cfg: IntegratorConfig) -> float:
-    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((e / scale) ** 2)))
-
-
 def integrate(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     initial: Sequence[float] | np.ndarray,
@@ -277,29 +332,36 @@ def integrate(
     underflow terminate the run gracefully with the reason recorded.
     """
     monitors = list(monitors)
-    y = np.asarray(initial, dtype=float).copy()
+    y_arr = np.array(initial, dtype=float)
+    y = y_arr.tolist()
+    dim = len(y)
     t = float(t0)
     t_end = t0 + config.t_max
+    rel_tol, abs_tol = config.rel_tol, config.abs_tol
 
     ts: list[float] = [t]
-    ys: list[np.ndarray] = [y.copy()]
+    ys: list = [y]
     diag_rows: list[Mapping[str, float]] = []
     mon_rows: list[list[float]] = []
     events: list[Event] = []
 
-    f_now = np.asarray(rhs(t, y), dtype=float)
-    if not np.all(np.isfinite(f_now)):
-        raise ValueError(f"right-hand side non-finite at the initial point {y}")
+    f0 = np.asarray(rhs(t, y_arr), dtype=float)
+    if f0.shape != y_arr.shape:
+        raise ValueError(
+            f"right-hand side has shape {f0.shape} for a state of shape {y_arr.shape}"
+        )
+    if not np.all(np.isfinite(f0)):
+        raise ValueError(f"right-hand side non-finite at the initial point {y_arr}")
+    f_now = f0.tolist()
     if diagnostics is not None:
-        diag_rows.append(dict(diagnostics(t, y)))
-    mon_prev = [m.fn(t, y) - m.level for m in monitors]
+        diag_rows.append(dict(diagnostics(t, y_arr)))
+    mon_prev = [m.fn(t, y_arr) - m.level for m in monitors]
     mon_rows.append([g + m.level for g, m in zip(mon_prev, monitors)])
 
     h = min(config.initial_step, config.max_step, config.t_max)
     err_old = 1e-4
     termination = Termination.REACHED_TMAX
     nonfinite_failure = False
-    stages = np.empty((7, y.size))
     steps = 0
 
     def finish() -> Trajectory:
@@ -337,10 +399,7 @@ def integrate(
             break
 
         try:
-            stages[0] = f_now
-            for i in range(1, 7):
-                yi = y + h * (_A[i] @ stages[:i])
-                stages[i] = rhs(t + _C[i] * h, yi)
+            y_new, f_new, err_vec = _dopri_step(rhs, t, y, f_now, h)
         except RangeExceededError:
             termination = Termination.RANGE_EXCEEDED
             break
@@ -350,14 +409,14 @@ def integrate(
             h *= 0.5
             continue
 
-        y_new = y + h * (_B @ stages)
-        err_vec = h * (_E @ stages)
-        if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(err_vec))):
+        if not all(map(math.isfinite, y_new + err_vec)):
             nonfinite_failure = True
             h *= 0.5
             continue
         nonfinite_failure = False
-        err = _error_norm(err_vec, y, y_new, config)
+        # RMS of the error relative to abs_tol + rel_tol * max(|y|, |y_new|)
+        qs = [e / (abs_tol + rel_tol * max(abs(a), abs(b))) for e, a, b in zip(err_vec, y, y_new)]
+        err = math.sqrt(sum([q * q for q in qs]) / dim)
 
         if err > 1.0:
             # reject: pure proportional shrink, no growth
@@ -366,22 +425,26 @@ def integrate(
 
         steps += 1
         t_new = t_end if final else t + h
-        f_new = stages[6].copy()  # FSAL stage = rhs(t_new, y_new)
-        interp = _substep_evaluator(rhs, t, y, f_now, t_new, y_new)
+        y_arr = np.array(y_new)  # monitors and diagnostics see ndarrays
 
         stop: Event | None = None
         step_events: list[Event] = []
         try:
-            mon_now = [m.fn(t_new, y_new) - m.level for m in monitors]
+            mon_now = [m.fn(t_new, y_arr) - m.level for m in monitors]
+            interp = None
             for i, m in enumerate(monitors):
                 g0, g1 = mon_prev[i], mon_now[i]
                 if g0 * g1 < 0.0:
+                    if interp is None:
+                        interp = _substep_evaluator(rhs, t, y, f_now, t_new, y_arr)
                     t_star = locate_sign_change(
                         lambda tt, yy, m=m: m.fn(tt, yy) - m.level,
                         t,
                         t_new,
                         interp,
                         config.event_tol,
+                        g0,
+                        g1,
                     )
                     ev = Event(m.kind, m.name, t_star, interp(t_star), m.level)
                     step_events.append(ev)
@@ -400,14 +463,14 @@ def integrate(
                 break
 
             if diagnostics is not None:
-                diag_rows.append(dict(diagnostics(t_new, y_new)))
+                diag_rows.append(dict(diagnostics(t_new, y_arr)))
         except RangeExceededError:
             termination = Termination.RANGE_EXCEEDED
             break
 
         events.extend(step_events)
         ts.append(t_new)
-        ys.append(y_new.copy())
+        ys.append(y_new)
         mon_rows.append([g + m.level for g, m in zip(mon_now, monitors)])
         mon_prev = mon_now
         t, y, f_now = t_new, y_new, f_new

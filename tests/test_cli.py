@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -7,10 +8,12 @@ import xml.dom.minidom
 
 import pytest
 
-from gwflow import cli
+from gwflow import checks, cli
+from gwflow.checks import CheckResult, run_invariant_checks
 from gwflow.experiment import ExperimentConfig
 from gwflow.flows import SYSTEMS
 from gwflow.integrate import IntegratorConfig
+from gwflow.portrait import render_portrait
 
 
 def run_cli(capsys, *argv):
@@ -308,6 +311,57 @@ class TestPortraitCommand:
         )
         assert code == 1
         assert "error" in err
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_do_not_share_values(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def recorder(n, phi_range, psi_range, **kwargs):
+            calls.append((n, kwargs))
+            return "<svg/>\n"
+
+        monkeypatch.setattr(cli, "render_portrait", recorder)
+        first = tmp_path / "first.json"
+        first.write_text(json.dumps({"n": 3, "grid": "6x4", "traj_t_max": 5.0}))
+        second = tmp_path / "second.json"
+        second.write_text(json.dumps({"psi_range": "-1:1"}))
+        assert run_cli(
+            capsys, "portrait", "--phi-range", "1:8", "--psi-range", "-2:2",
+            "--start", "3,0.5", "--start", "4,0.1", "--config", str(first),
+        )[0] == 0
+        assert run_cli(
+            capsys, "portrait", "--n", "2", "--phi-range", "1:8",
+            "--start", "2,0.2", "--config", str(second),
+        )[0] == 0
+        (n1, kw1), (n2, kw2) = calls
+        assert (n1, kw1) == (
+            3, {"grid": (6, 4), "starts": ((3.0, 0.5), (4.0, 0.1)), "traj_t_max": 5.0}
+        )
+        # the second call sees none of the first call's starts or file values
+        defaults = inspect.signature(render_portrait).parameters
+        assert (n2, kw2) == (
+            2,
+            {
+                "grid": defaults["grid"].default,
+                "starts": ((2.0, 0.2),),
+                "traj_t_max": defaults["traj_t_max"].default,
+            },
+        )
+
+    def test_check_default_n_max_is_the_library_default(self, capsys, monkeypatch):
+        seen = []
+
+        def recorder(n_max):
+            seen.append(n_max)
+            return [CheckResult("stub", 2, True, "")]
+
+        monkeypatch.setattr(checks, "run_invariant_checks", recorder)
+        assert run_cli(capsys, "check")[0] == 0
+        assert seen == [inspect.signature(run_invariant_checks).parameters["n_max"].default]
 
 
 class TestCheckCommand:

@@ -17,6 +17,7 @@ from gwflow import (
     make_pn,
     positivity_timeline,
     rhs_phase,
+    rhs_reparam,
     rhs_submersion,
     run_theorem_experiment,
     smallest_k_positive,
@@ -278,3 +279,43 @@ class TestPositivityTimeline:
         # the sum of the 4(n-1) negative r1 values plus as many positive r2
         # values stays positive, so k-positivity is lost only below k = 8
         assert k_end == 8
+
+
+
+def scipy_t_r1_negative(n, epsilon, t_max):
+    """``t_r1_negative`` from scipy's DOP853 at tight tolerances on ``psi`` as
+    a function of ``phi`` (unit-speed time is ``t = phi - N``)."""
+    integrate_mod = pytest.importorskip("scipy.integrate")
+    N = default_initial_phi(n, epsilon)
+
+    def r1(phi, y):
+        return _phase_ricci_values(n, phi, y[0])[0]
+
+    r1.terminal = True
+    sol = integrate_mod.solve_ivp(
+        lambda phi, y: [rhs_reparam(n, phi, y[0])[1]],
+        (N, N + t_max),
+        [-epsilon],
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-300,
+        events=r1,
+    )
+    (phi_star,) = sol.t_events[0]
+    return phi_star - N
+
+
+def test_scipy_oracle_t_r1_negative():
+    # the value in notes/decisions.md; DOP853 in log-log coordinates agrees to 4e-14
+    oracle = scipy_t_r1_negative(3, 1e-4, 1e6)
+    assert abs(oracle - 490.6305098246) <= 1e-10 * oracle
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1: abs_tol floor")
+def test_t_r1_negative_matches_scipy_oracle():
+    # psi falls below abs_tol long before r1 turns negative for n >= 3, so
+    # the event time carries the error of an unresolved psi (1.2e-5 relative)
+    n, epsilon, t_max = 3, 1e-4, 1e6
+    oracle = scipy_t_r1_negative(n, epsilon, t_max)
+    report = run_theorem_experiment(ExperimentConfig(n=n, epsilon=epsilon, t_max=t_max))
+    assert abs(report.t_r1_negative - oracle) <= 1e-6 * oracle

@@ -22,6 +22,7 @@ from gwflow import (
     volume,
     x3_from_volume_one,
 )
+from gwflow import ExperimentConfig, experiment, run_theorem_experiment
 from gwflow.integrate import _substep_evaluator
 from gwflow.spaces import _phase_ricci_values
 
@@ -164,6 +165,30 @@ class TestLocateSignChange:
         t = locate_sign_change(lambda tt, yy: yy[0] - 1.0, 0.0, 2.0, interp, 1e-10)
         assert abs(t - 1.0) <= 1e-10
 
+    def test_given_end_values_are_not_evaluated_again(self):
+        f, probes = recording(math.cos)
+        t = locate_sign_change(f, 1.0, 2.0, identity, 1e-10, math.cos(1.0), math.cos(2.0))
+        assert abs(t - math.pi / 2) <= 1e-10
+        assert all(1.0 < p < 2.0 for p, _ in probes)
+
+    def test_integrate_passes_the_bracket_ends(self):
+        # a crossing inside one step: the locator only probes inside it
+        probes = []
+
+        def mon(t, y):
+            probes.append(t)
+            return y[0] - 1.0
+
+        traj = integrate(
+            constant_field([1.0]), [0.0], IntegratorConfig(t_max=2.0, initial_step=0.3),
+            [Monitor("crossing", mon)],
+        )
+        (event,) = traj.events
+        t_lo = traj.t[traj.t < event.t][-1]
+        t_hi = traj.t[traj.t > event.t][0]
+        inside = [t for t in probes if t_lo < t < t_hi]
+        assert len(probes) == len(traj.t) + len(inside)
+
     def test_no_bracket(self):
         interp = lambda t: np.array([t])
         with pytest.raises(NoBracketError):
@@ -300,3 +325,97 @@ class TestFailureModes:
         traj = integrate(constant_field([1.0]), [0.0], IntegratorConfig(t_max=1.0), diagnostics=diag)
         assert traj.diagnostics["double"] == pytest.approx(2.0 * traj.y[:, 0])
         assert traj.diagnostics["double"].shape == traj.t.shape
+
+
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I, II.5), written
+# out independently of gwflow.integrate
+DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+DP_A = np.zeros((7, 7))
+DP_A[1, :1] = [1 / 5]
+DP_A[2, :2] = [3 / 40, 9 / 40]
+DP_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+DP_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+DP_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+DP_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
+DP_B = DP_A[6]
+
+
+def coupled_field(dim):
+    """A nonlinear field in which every component reads the next one."""
+
+    def f(t, y):
+        return np.array([math.cos(t + y[(i + 1) % dim]) - 0.3 * y[i] for i in range(dim)])
+
+    return f
+
+
+class TestFloatKernel:
+    def test_callbacks_receive_ndarrays(self):
+        seen = []
+
+        def rhs(t, y):
+            seen.append(("rhs", y))
+            return np.array([1.0, -0.5 * y[1]])
+
+        def mon(t, y):
+            seen.append(("monitor", y))
+            return y[0] - 0.55
+
+        def stop(t, y):
+            seen.append(("stop", y))
+            return y[0] - 1.05
+
+        def diag(t, y):
+            seen.append(("diagnostics", y))
+            return {"psi": y[1]}
+
+        traj = integrate(
+            rhs, [0.0, 1.0], IntegratorConfig(t_max=2.0, initial_step=0.1),
+            [Monitor("half", mon), Monitor("end", stop, kind="stop")], diag,
+        )
+        assert [ev.name for ev in traj.events] == ["half", "end"]
+        assert {who for who, _ in seen} == {"rhs", "monitor", "stop", "diagnostics"}
+        for who, y in seen:
+            assert type(y) is np.ndarray and y.dtype == np.float64 and y.shape == (2,), who
+        # every stage state is a fresh array
+        stage_states = [y for who, y in seen if who == "rhs"]
+        assert len({id(y) for y in stage_states}) == len(stage_states)
+        assert type(traj.y) is np.ndarray and traj.y.shape == (len(traj), 2)
+        assert type(traj.t) is np.ndarray
+        for ev in traj.events:
+            assert type(ev.state) is np.ndarray and ev.state.shape == (2,)
+        assert all(type(v) is np.ndarray for v in traj.diagnostics.values())
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_step_matches_the_tableau(self, dim):
+        f = coupled_field(dim)
+        t0, h = 0.25, 0.1
+        y0 = np.linspace(0.5, 1.5, dim)
+        cfg = IntegratorConfig(t_max=1.0, initial_step=h, rel_tol=1e-3, abs_tol=1e-3, max_steps=1)
+        traj = integrate(f, y0, cfg, t0=t0)
+        assert traj.t[1] == t0 + h  # the first trial step was accepted
+
+        k = np.zeros((7, dim))
+        k[0] = f(t0, y0)
+        for i in range(1, 7):
+            k[i] = f(t0 + DP_C[i] * h, y0 + h * (DP_A[i, :i] @ k[:i]))
+        expected = y0 + h * (DP_B @ k)
+        assert np.all(np.abs(traj.y[1] - expected) <= 4 * np.spacing(np.abs(expected)))
+
+    def test_rhs_of_the_wrong_shape_is_refused(self):
+        with pytest.raises(ValueError, match="shape"):
+            integrate(lambda t, y: np.array([1.0]), [0.0, 0.0], IntegratorConfig(t_max=1.0))
+
+    # the counts recorded for these runs in perfbench/reference.json
+    @pytest.mark.parametrize("n,epsilon,steps", [(2, 1e-3, 107), (5, 1e-3, 113), (8, 1e-4, 93)])
+    def test_experiment_step_counts_pinned(self, monkeypatch, n, epsilon, steps):
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(integrate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(experiment, "integrate", recorded)
+        run_theorem_experiment(ExperimentConfig(n=n, epsilon=epsilon, t_max=1e6))
+        (traj,) = runs
+        assert len(traj) - 1 == steps
