@@ -119,26 +119,44 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _defaults(cls) -> dict:
-    """The fields of a config dataclass with their defaults (``None`` where
-    the field has none)."""
+def _options(cls) -> dict:
+    """``{field: (type, default)}`` for a config dataclass: ``int`` fields
+    take integers, the rest (``float | None`` too) floats; the default is
+    ``None`` where the field has none."""
     return {
-        f.name: None if f.default is dataclasses.MISSING else f.default
+        f.name: (
+            int if f.type in (int, "int") else float,
+            None if f.default is dataclasses.MISSING else f.default,
+        )
         for f in dataclasses.fields(cls)
     }
 
 
 def _add_config_args(p: argparse.ArgumentParser, cls) -> None:
-    """One flag per field of a config dataclass, typed by its annotation:
-    ``int`` fields take integers, the rest (``float | None`` too) floats."""
-    for f in dataclasses.fields(cls):
-        kind = int if f.type in (int, "int") else float
-        p.add_argument(f"--{f.name.replace('_', '-')}", type=kind, default=None)
+    """One flag per field of a config dataclass, typed as :func:`_options` says."""
+    for name, (kind, _) in _options(cls).items():
+        p.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None)
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Resolve option values: explicit flag > config file entry > default."""
-    merged = dict(defaults)
+# what a config-file value must be, by its option's type; ``list`` is a
+# repeatable flag, given as a list of the strings the flag takes
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list of strings"}
+
+
+def _is_kind(value, kind) -> bool:
+    if kind is list:
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    number = (int, float) if kind is float else kind
+    return isinstance(value, number) and not isinstance(value, bool)
+
+
+def _merge_config(args: argparse.Namespace, options: dict) -> dict:
+    """Resolve option values: explicit flag > config file entry > default.
+
+    ``options`` maps each key to its ``(type, default)``.  A config-file value
+    of another type is a usage error; ``null`` keeps the default.
+    """
+    merged = {key: default for key, (_, default) in options.items()}
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
@@ -148,10 +166,18 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         if not isinstance(file_values, dict):
             raise _UsageError(f"config file {args.config} must hold a JSON object")
         for key, value in file_values.items():
-            if key not in defaults:
+            if key not in options:
                 raise _UsageError(f"unknown config key {key!r} in {args.config}")
+            if value is None:
+                continue
+            kind = options[key][0]
+            if not _is_kind(value, kind):
+                raise _UsageError(
+                    f"config key {key!r} in {args.config} must be {_KIND_NAMES[kind]}, "
+                    f"got {value!r}"
+                )
             merged[key] = value
-    for key in defaults:
+    for key in options:
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             merged[key] = cli_value
@@ -198,21 +224,21 @@ def _csv_lines(system: str, n: int, traj: Trajectory) -> Iterable[str]:
         yield ",".join(cells)
 
 
-_FLOW_DEFAULTS = {
-    "n": None,
-    "system": None,
-    **dict.fromkeys(_STATE_FLAGS),
-    **_defaults(IntegratorConfig),
-    "t_max": 10.0,
+_FLOW_OPTIONS = {
+    "n": (int, None),
+    "system": (str, None),
+    **dict.fromkeys(_STATE_FLAGS, (float, None)),
+    **_options(IntegratorConfig),
+    "t_max": (float, 10.0),
 }
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
-    opts = _merge_config(args, _FLOW_DEFAULTS)
+    opts = _merge_config(args, _FLOW_OPTIONS)
     n, system = opts["n"], opts["system"]
     if n is None or system is None:
         raise _UsageError("flow requires --n and --system")
-    if not (isinstance(n, int) and n >= 2):
+    if n < 2:
         raise _UsageError(f"--n must be an integer >= 2, got {n}")
     if system not in SYSTEMS:
         raise _UsageError(f"unknown system {system!r}")
@@ -222,7 +248,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         raise _UsageError(f"system {system!r} requires {', '.join(missing)}")
 
     try:
-        config = IntegratorConfig(**{k: opts[k] for k in _defaults(IntegratorConfig)})
+        config = IntegratorConfig(**{k: opts[k] for k in _options(IntegratorConfig)})
     except ValueError as exc:
         raise _UsageError(str(exc))
     try:
@@ -235,7 +261,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    opts = _merge_config(args, _defaults(ExperimentConfig))
+    opts = _merge_config(args, _options(ExperimentConfig))
     if opts["n"] is None:
         raise _UsageError("experiment requires --n")
     try:
@@ -258,13 +284,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0 if report.final_negative_count == report.expected_negative_count else 1
 
 
-_PORTRAIT_DEFAULTS = {
-    "n": None,
-    "phi_range": None,
-    "psi_range": None,
-    "grid": "x".join(map(str, _GRID)),
-    "start": None,
-    "traj_t_max": _TRAJ_T_MAX,
+_PORTRAIT_OPTIONS = {
+    "n": (int, None),
+    "phi_range": (str, None),
+    "psi_range": (str, None),
+    "grid": (str, "x".join(map(str, _GRID))),
+    "start": (list, None),
+    "traj_t_max": (float, _TRAJ_T_MAX),
 }
 
 
@@ -277,21 +303,21 @@ def _parse_range(text: str, name: str) -> tuple[float, float]:
 
 
 def cmd_portrait(args: argparse.Namespace) -> int:
-    opts = _merge_config(args, _PORTRAIT_DEFAULTS)
+    opts = _merge_config(args, _PORTRAIT_OPTIONS)
     if opts["n"] is None or opts["phi_range"] is None or opts["psi_range"] is None:
         raise _UsageError("portrait requires --n, --phi-range and --psi-range")
-    if not (isinstance(opts["n"], int) and opts["n"] >= 2):
+    if opts["n"] < 2:
         raise _UsageError(f"--n must be an integer >= 2, got {opts['n']}")
     phi_range = _parse_range(opts["phi_range"], "--phi-range")
     psi_range = _parse_range(opts["psi_range"], "--psi-range")
     try:
-        nx, ny = (int(part) for part in str(opts["grid"]).lower().split("x"))
+        nx, ny = (int(part) for part in opts["grid"].lower().split("x"))
     except ValueError:
         raise _UsageError(f"--grid must look like NXxNY, got {opts['grid']!r}")
     starts = []
     for item in opts["start"] or ():
         try:
-            phi0, psi0 = (float(part) for part in str(item).split(","))
+            phi0, psi0 = (float(part) for part in item.split(","))
         except ValueError:
             raise _UsageError(f"--start must look like PHI,PSI, got {item!r}")
         starts.append((phi0, psi0))
@@ -312,9 +338,9 @@ def cmd_portrait(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    opts = _merge_config(args, {"n_max": _N_MAX})
+    opts = _merge_config(args, {"n_max": (int, _N_MAX)})
     n_max = opts["n_max"]
-    if not (isinstance(n_max, int) and n_max >= 2):
+    if n_max < 2:
         raise _UsageError(f"--n-max must be an integer >= 2, got {n_max}")
     results = checks_mod.run_invariant_checks(n_max)
     width = max(len(r.name) for r in results)

@@ -1,13 +1,14 @@
 """Adaptive embedded Runge-Kutta integration with event detection.
 
 The stepper is the classic Dormand-Prince 5(4) pair (seven stages, FSAL)
-with proportional-integral step-size control.  Monitored functionals are
-evaluated at every accepted step; a sign change (or level crossing) across
-a step is localized by Brent's method, with in-step states produced by a
-single full-order stage pass from the step's left endpoint (so localized
-event times inherit the integrator's accuracy rather than an
-interpolant's).  The search stops once the bracket is ``event_tol`` wide or
-no float lies strictly inside it.
+with proportional-integral step-size control.  Monitors only locate events
+(``diagnostics`` records per-sample values): each is evaluated at every
+accepted step, and a sign change (or level crossing) across a step is
+localized by Brent's method, with in-step states produced by a single
+full-order stage pass from the step's left endpoint (so localized event
+times inherit the integrator's accuracy rather than an interpolant's).  The
+search stops once the bracket is ``event_tol`` wide or no float lies
+strictly inside it.
 
 The states here have one to three components, where numpy's per-call
 overhead costs far more than the arithmetic, so each step runs on Python
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -146,7 +147,8 @@ class Trajectory:
     """Recorded samples of one integration run.
 
     ``t`` is strictly increasing; ``y[i]`` is the state at ``t[i]``;
-    ``diagnostics`` maps each diagnostic name to a per-sample array.
+    ``diagnostics`` maps each diagnostic name to a per-sample array, the
+    run's one per-sample record: monitor values are not kept.
     """
 
     t: np.ndarray
@@ -154,7 +156,6 @@ class Trajectory:
     diagnostics: dict[str, np.ndarray]
     events: list[Event]
     termination: Termination
-    monitor_values: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.t.size
@@ -170,13 +171,11 @@ class Trajectory:
         return None
 
 
-def _dopri_step(rhs, t, y, k1, h):
-    """One Dormand-Prince step of size ``h`` from ``(t, y)``, ``k1 = rhs(t, y)``.
-
-    States and stages are lists of floats; ``rhs`` is handed each stage state
-    as a fresh ndarray.  Returns the 5th-order solution (the state of the
-    last stage), the last stage (the derivative there) and the error
-    estimate.
+def _dopri_update(rhs, t, y, k1, h):
+    """The 5th-order solution of a Dormand-Prince step of size ``h`` from
+    ``(t, y)``, ``k1 = rhs(t, y)``, and the stages k3 to k6 that the error
+    estimate reuses: five ``rhs`` calls, each handed a fresh ndarray.
+    States and stages are lists of floats.
     """
 
     def f(tt, yy):
@@ -206,7 +205,14 @@ def _dopri_step(rhs, t, y, k1, h):
         a + h * (_B1 * p + _B3 * r + _B4 * s + _B5 * u + _B6 * v)
         for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)
     ]
-    k7 = f(t + h, y_new)
+    return y_new, k3, k4, k5, k6
+
+
+def _dopri_step(rhs, t, y, k1, h):
+    """One Dormand-Prince step: the 5th-order solution (the state of the last
+    stage), the last stage (the derivative there) and the error estimate."""
+    y_new, k3, k4, k5, k6 = _dopri_update(rhs, t, y, k1, h)
+    k7 = np.asarray(rhs(t + h, np.array(y_new)), dtype=float).tolist()
     err = [
         h * (_E1 * p + _E3 * r + _E4 * s + _E5 * u + _E6 * v + _E7 * w)
         for p, r, s, u, v, w in zip(k1, k3, k4, k5, k6, k7)
@@ -220,8 +226,9 @@ def _substep_evaluator(rhs, t0, y0, f0, t1, y1):
     A cubic Hermite interpolant is an order short here: the controller takes
     steps that are a few percent of the solution's own scale, where a
     cubic's interpolation error moves localized event times by far more
-    than the integration error does.  Taking a single embedded-pair step of
-    size ``t - t0`` keeps in-step states at the integrator's own order.
+    than the integration error does.  The 5th-order update of a single step
+    of size ``t - t0`` keeps in-step states at the integrator's own order;
+    the last (FSAL) stage serves only the error estimate, so is left out.
 
     ``y0`` and ``f0 = rhs(t0, y0)`` may be ndarrays or lists of floats; the
     evaluator returns a fresh ndarray.  :func:`integrate` builds one only on
@@ -236,7 +243,7 @@ def _substep_evaluator(rhs, t0, y0, f0, t1, y1):
             return np.array(y0)
         if t >= t1:
             return np.array(y1, dtype=float)
-        return np.array(_dopri_step(rhs, t0, y0, f0, tau)[0])
+        return np.array(_dopri_update(rhs, t0, y0, f0, tau)[0])
 
     return interp
 
@@ -342,7 +349,6 @@ def integrate(
     ts: list[float] = [t]
     ys: list = [y]
     diag_rows: list[Mapping[str, float]] = []
-    mon_rows: list[list[float]] = []
     events: list[Event] = []
 
     f0 = np.asarray(rhs(t, y_arr), dtype=float)
@@ -356,31 +362,12 @@ def integrate(
     if diagnostics is not None:
         diag_rows.append(dict(diagnostics(t, y_arr)))
     mon_prev = [m.fn(t, y_arr) - m.level for m in monitors]
-    mon_rows.append([g + m.level for g, m in zip(mon_prev, monitors)])
 
     h = min(config.initial_step, config.max_step, config.t_max)
     err_old = 1e-4
     termination = Termination.REACHED_TMAX
     nonfinite_failure = False
     steps = 0
-
-    def finish() -> Trajectory:
-        diag_arrays: dict[str, np.ndarray] = {}
-        if diag_rows:
-            for key in diag_rows[0]:
-                diag_arrays[key] = np.array([row[key] for row in diag_rows])
-        mon_arrays = {
-            m.name: np.array([row[i] for row in mon_rows])
-            for i, m in enumerate(monitors)
-        }
-        return Trajectory(
-            t=np.array(ts),
-            y=np.array(ys),
-            diagnostics=diag_arrays,
-            events=events,
-            termination=termination,
-            monitor_values=mon_arrays,
-        )
 
     while t < t_end:
         if steps >= config.max_steps:
@@ -455,7 +442,6 @@ def integrate(
             if stop is not None:
                 if diagnostics is not None:
                     diag_rows.append(dict(diagnostics(stop.t, stop.state)))
-                mon_rows.append([m.fn(stop.t, stop.state) for m in monitors])
                 events.extend(ev for ev in step_events if ev.t <= stop.t)
                 ts.append(stop.t)
                 ys.append(stop.state)
@@ -471,7 +457,6 @@ def integrate(
         events.extend(step_events)
         ts.append(t_new)
         ys.append(y_new)
-        mon_rows.append([g + m.level for g, m in zip(mon_now, monitors)])
         mon_prev = mon_now
         t, y, f_now = t_new, y_new, f_new
 
@@ -484,4 +469,11 @@ def integrate(
             err_old = err
         h *= factor
 
-    return finish()
+    diag_keys = diag_rows[0] if diag_rows else ()
+    return Trajectory(
+        t=np.array(ts),
+        y=np.array(ys),
+        diagnostics={key: np.array([row[key] for row in diag_rows]) for key in diag_keys},
+        events=events,
+        termination=termination,
+    )

@@ -134,6 +134,50 @@ class TestFlowCommand:
         assert "frobnicate" in err
 
 
+PHASE_FLOW = ("flow", "--n", "2", "--system", "phase", "--phi", "2", "--psi", "0")
+PORTRAIT = ("portrait", "--n", "2", "--phi-range", "1:3", "--psi-range", "-1:1")
+
+
+class TestConfigFileValueTypes:
+    @pytest.mark.parametrize(
+        "argv,values",
+        [
+            (PHASE_FLOW, {"t_max": "abc"}),
+            (PHASE_FLOW, {"max_steps": 2.5}),
+            (("flow", "--n", "2", "--system", "phase", "--psi", "0"), {"phi": [2.0]}),
+            (("experiment", "--n", "2"), {"epsilon": "x"}),
+            (("experiment",), {"n": True}),
+            (("portrait", "--n", "2", "--psi-range", "-1:1"), {"phi_range": 5}),
+            (PORTRAIT, {"traj_t_max": "x"}),
+            (PORTRAIT, {"start": "1.5,0.3"}),
+            (PORTRAIT, {"grid": [6, 4]}),
+            (("check",), {"n_max": "6"}),
+        ],
+    )
+    def test_wrong_type_is_a_usage_error_naming_the_key(self, capsys, tmp_path, argv, values):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 1
+        (key,) = values
+        assert err.startswith("gwflow: error:") and repr(key) in err
+        assert "Traceback" not in err
+
+    def test_start_list_from_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"start": ["2,0.2"], "traj_t_max": 1}))
+        code, out, err = run_cli(capsys, *PORTRAIT, "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert out.count("<polyline") == 1
+
+    def test_null_keeps_the_default(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"t_max": None, "rel_tol": None}))
+        code, out, err = run_cli(capsys, *PHASE_FLOW, "--max-step", "1", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert float(parse_csv(out)[1][-1]["t"]) == cli._FLOW_OPTIONS["t_max"][1]
+
+
 def _flow_option(dest):
     sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return next(a for a in sub.choices["flow"]._actions if a.dest == dest)

@@ -280,6 +280,23 @@ class TestPositivityTimeline:
         # values stays positive, so k-positivity is lost only below k = 8
         assert k_end == 8
 
+    @pytest.mark.parametrize("n,last", [(2, (4, 8)), (3, (8, 16))])
+    def test_timeline_of_the_experiments_own_trajectory(self, monkeypatch, n, last):
+        # reads the diagnostics run_theorem_experiment records
+        trajectories = []
+
+        def recorded(*args, **kwargs):
+            trajectories.append(integrate(*args, **kwargs))
+            return trajectories[-1]
+
+        monkeypatch.setattr(experiment, "integrate", recorded)
+        run_theorem_experiment(ExperimentConfig(n=n, t_max=1e6))
+        (traj,) = trajectories
+        timeline = positivity_timeline(traj, make_pn(n))
+        assert [t for t, _, _ in timeline] == traj.t.tolist()
+        assert timeline[0][1:] == (0, 1)
+        assert timeline[-1][1:] == last
+
 
 
 def scipy_t_r1_negative(n, epsilon, t_max):

@@ -152,12 +152,6 @@ class TestEvents:
         traj = integrate(field_phase(2), [1.8, 0.0], IntegratorConfig(t_max=5.0), [mon])
         assert traj.events == []
 
-    def test_monitor_values_recorded(self):
-        mon = Monitor("height", lambda t, y: y[0])
-        traj = integrate(constant_field([1.0]), [0.0], IntegratorConfig(t_max=1.0), [mon])
-        assert "height" in traj.monitor_values
-        assert traj.monitor_values["height"] == pytest.approx(traj.y[:, 0], abs=1e-12)
-
 
 class TestLocateSignChange:
     def test_linear_root_at_midpoint(self):
@@ -262,6 +256,22 @@ class TestLocateSignChange:
         reference = optimize.brentq(lambda tt: r1(tt, interp(tt)), t0, t1, xtol=1e-13)
         assert t == event.t
         assert abs(t - reference) <= 1e-10
+
+    def test_in_step_probe_makes_five_rhs_calls(self):
+        # the 5th-order update needs stages 2 to 6; the 7th (FSAL) stage only
+        # serves the error estimate and the next step
+        calls = []
+        field = field_reparam(2)
+
+        def rhs(t, y):
+            calls.append(t)
+            return field(t, y)
+
+        y0 = np.array([4.0, -1e-3])
+        interp = _substep_evaluator(rhs, 0.0, y0, field(0.0, y0), 0.5, y0)
+        y_mid = interp(0.25)
+        assert len(calls) == 5
+        assert type(y_mid) is np.ndarray and y_mid.shape == (2,)
 
 
 class TestConservationAndInvariance:
