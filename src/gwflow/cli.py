@@ -154,14 +154,16 @@ def _merge_config(args: argparse.Namespace, options: dict) -> dict:
     """Resolve option values: explicit flag > config file entry > default.
 
     ``options`` maps each key to its ``(type, default)``.  A config-file value
-    of another type is a usage error; ``null`` keeps the default.
+    of another type is a usage error; ``null`` keeps the default.  A float
+    option's value is read with ``float()``, as its flag is, so a JSON ``4``
+    and ``--flag 4`` give the same run and the same report.
     """
     merged = {key: default for key, (_, default) in options.items()}
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
                 file_values = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError, int digit limit
             raise _UsageError(f"cannot read config file {args.config}: {exc}")
         if not isinstance(file_values, dict):
             raise _UsageError(f"config file {args.config} must hold a JSON object")
@@ -176,6 +178,13 @@ def _merge_config(args: argparse.Namespace, options: dict) -> dict:
                     f"config key {key!r} in {args.config} must be {_KIND_NAMES[kind]}, "
                     f"got {value!r}"
                 )
+            if kind is float:
+                try:
+                    value = float(value)
+                except OverflowError:
+                    raise _UsageError(
+                        f"config key {key!r} in {args.config} is an integer too large for a float"
+                    )
             merged[key] = value
     for key in options:
         cli_value = getattr(args, key, None)

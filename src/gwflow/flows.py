@@ -19,10 +19,15 @@ turns finite-time blow-up of the original system into linear growth
 integrator-ready vector fields (the ``field_*`` constructors); the CLI reads
 every per-system fact from it.
 
-All phase-side functions guard the powers ``(phi**2 - psi**2)**n`` against
-leaving the representable range and raise :class:`RangeExceededError`
-instead of returning infinities; long runs deliberately drive ``phi`` to
-infinity and integration must stop cleanly.
+The formulas of :func:`rhs_full`, :func:`rhs_reduced_x` and :func:`rhs_phase`
+live in unguarded kernels (``_full_values``, ``_reduced_values``,
+``_phase_values``) that also take float64 arrays; :mod:`gwflow.checks`
+evaluates a whole grid through them.  Each ``rhs_*`` is its guard plus one
+kernel call: the guards reject inadmissible states with
+:class:`InadmissibleStateError` and keep the powers ``(phi**2 - psi**2)**n``
+(or ``(x1*x2)**n``, or the ``x_i``) inside the representable range, raising
+:class:`RangeExceededError` instead of returning infinities; long runs
+deliberately drive ``phi`` to infinity and integration must stop cleanly.
 """
 
 from __future__ import annotations
@@ -81,16 +86,14 @@ def _phase_bounds(n: int) -> tuple[float, float]:
     return RANGE_LIMIT ** (-1.0 / n), RANGE_LIMIT ** (1.0 / n)
 
 
-def _checked_p2(n: int, phi: float, psi: float) -> float:
+def _guard_phase(n: int, phi: float, psi: float) -> None:
     if not phi > abs(psi):
         raise InadmissibleStateError(f"inadmissible phase point (phi={phi}, psi={psi})")
-    p2 = phi * phi - psi * psi
     lo, hi = _phase_bounds(n)
-    if phi * phi > hi or p2 < lo:
+    if phi * phi > hi or phi * phi - psi * psi < lo:
         raise RangeExceededError(
             f"(phi^2 - psi^2)^{n} outside representable range at phi={phi}, psi={psi}"
         )
-    return p2
 
 
 def rhs_full(
@@ -108,6 +111,11 @@ def rhs_full(
             )
         if x > _X_LIMIT or x < 1.0 / _X_LIMIT:
             raise RangeExceededError(f"scale factor {x} outside guarded range")
+    return _full_values(space, x1, x2, x3, normalized)
+
+
+def _full_values(space: GWSpace, x1, x2, x3, normalized: bool = True):
+    # the formula of rhs_full, unguarded; x1, x2, x3 may be float64 arrays
     r1, r2, r3 = _ricci_values(space, x1, x2, x3)
     if normalized:
         s = space.d1 * r1 + space.d2 * r2 + space.d3 * r3
@@ -127,9 +135,14 @@ def rhs_reduced_x(n: int, x1: float, x2: float) -> tuple[float, float]:
     if not (x1 > 0 and x2 > 0):
         raise InadmissibleStateError(f"x1, x2 must be positive, got ({x1}, {x2})")
     lo, hi = _phase_bounds(n)
-    prod = x1 * x2
-    if max(x1, x2) ** 2 > hi or prod < lo:
+    if max(x1, x2) ** 2 > hi or x1 * x2 < lo:
         raise RangeExceededError(f"powers of ({x1}, {x2}) outside guarded range")
+    return _reduced_values(n, x1, x2)
+
+
+def _reduced_values(n: int, x1, x2):
+    # the formula of rhs_reduced_x, unguarded; x1, x2 may be float64 arrays
+    prod = x1 * x2
     inv_pow = 1.0 / prod ** n
     t12 = x1 ** n * x2 ** (n - 2)
     t21 = x1 ** (n - 2) * x2 ** n
@@ -151,7 +164,13 @@ def rhs_phase(n: int, phi: float, psi: float) -> tuple[float, float]:
     so the axis ``psi = 0`` is invariant and the sign of ``psi`` is preserved.
     """
     _require_n(n)
-    p2 = _checked_p2(n, phi, psi)
+    _guard_phase(n, phi, psi)
+    return _phase_values(n, phi, psi)
+
+
+def _phase_values(n: int, phi, psi):
+    # the formula of rhs_phase, unguarded; phi, psi may be float64 arrays
+    p2 = phi * phi - psi * psi
     pow4 = 4.0 ** (n - 1)
     q = (n + 2) * (2 * n - 1)
     dphi = (
@@ -173,7 +192,7 @@ def rhs_submersion(n: int, phi: float) -> float:
     _require_n(n)
     if not phi > 0:
         raise InadmissibleStateError(f"phi must be positive, got {phi}")
-    _checked_p2(n, phi, 0.0)
+    _guard_phase(n, phi, 0.0)
     u = phi ** (2 * n - 1)
     return (
         -2.0 + 3 * u / (4.0 ** (n - 1) * (n + 2)) + 4.0 ** n * n / (2 * (n + 2) * u)

@@ -12,6 +12,7 @@ unit-volume slice, where ``x3`` is determined by ``x3 = (x1*x2)**-(n-1)``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -169,11 +170,13 @@ class RicciSpectrum:
         return self.d1 + self.d2 + self.d3
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def make_pn(n: int) -> GWSpace:
     """Space descriptor for ``P_n`` (``n >= 2``), of total dimension ``8n - 4``.
 
     ``a1 = a2 = 1/(2(n+2))``, ``a3 = (n-1)/(2(n+2))``, ``d1 = d2 = 4(n-1)``,
-    ``d3 = 4``.
+    ``d3 = 4``.  Built once per ``n``; ``typed`` keeps ``make_pn(2.0)`` a
+    cache miss, so it is rejected even after ``make_pn(2)``.
     """
     _require_n(n)
     a12 = 1.0 / (2 * (n + 2))

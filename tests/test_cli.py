@@ -163,6 +163,24 @@ class TestConfigFileValueTypes:
         assert err.startswith("gwflow: error:") and repr(key) in err
         assert "Traceback" not in err
 
+    def test_integer_for_a_float_option_gives_the_flag_report(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"N": 4, "t_max": 1000}))
+        from_file = run_cli(capsys, "experiment", "--n", "2", "--config", str(cfg))
+        from_flags = run_cli(capsys, "experiment", "--n", "2", "--N", "4", "--t-max", "1000")
+        assert from_file == from_flags
+        assert json.loads(from_file[1])["N"] == 4.0
+        assert '"N": 4.0' in from_file[1]
+
+    @pytest.mark.parametrize("text", ['{"t_max": 1' + "0" * 400 + "}", '{"t_max": ' + "9" * 5000 + "}"])
+    def test_integer_beyond_float_range_is_a_usage_error(self, capsys, tmp_path, text):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        code, _, err = run_cli(capsys, *PHASE_FLOW, "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("gwflow: error:")
+        assert "Traceback" not in err and len(err) < 400
+
     def test_start_list_from_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"start": ["2,0.2"], "traj_t_max": 1}))
@@ -421,21 +439,34 @@ class TestCheckCommand:
 
     def test_injected_sign_error_is_caught(self, capsys, monkeypatch):
         import gwflow.spaces as spaces_mod
-        from gwflow.spaces import RicciSpectrum, make_pn
 
         true_values = spaces_mod._phase_ricci_values
 
-        def broken(p):
-            r1, r2, r3 = true_values(p.n, p.phi, p.psi)
+        def broken(n, phi, psi):
+            r1, r2, r3 = true_values(n, phi, psi)
             odd = r2 - r1  # twice the term that is odd in psi
-            space = make_pn(p.n)
-            return RicciSpectrum.from_eigenvalues(r1, r1 + (-odd), r3, *space.dims)
+            return r1, r1 + (-odd), r3
 
-        monkeypatch.setattr(spaces_mod, "ricci_phase", broken)
+        monkeypatch.setattr(spaces_mod, "_phase_ricci_values", broken)
         code, out, _ = run_cli(capsys, "check", "--n-max", "2")
         assert code == 4
         failing = [line for line in out.splitlines() if "FAIL" in line]
         assert any("spectrum-agreement" in line for line in failing)
+
+    def test_injected_rhs_sign_error_is_caught(self, capsys, monkeypatch):
+        import gwflow.flows as flows_mod
+
+        true_values = flows_mod._phase_values
+
+        def broken(n, phi, psi):
+            dphi, dpsi = true_values(n, phi, psi)
+            return dphi, -dpsi
+
+        monkeypatch.setattr(flows_mod, "_phase_values", broken)
+        code, out, _ = run_cli(capsys, "check", "--n-max", "2")
+        assert code == 4
+        failing = [line for line in out.splitlines() if "FAIL" in line]
+        assert [line.split()[0] for line in failing] == ["rhs-consistency", "total"]
 
 
 class TestConsoleScript:

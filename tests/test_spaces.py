@@ -53,6 +53,12 @@ class TestMakePn:
         with pytest.raises(ValueError):
             make_pn(bad)
 
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_built_once_per_n(self, n):
+        assert make_pn(n) is make_pn(n)
+        with pytest.raises(ValueError):  # an equal float is not a cached int
+            make_pn(float(n))
+
 
 class TestKn:
     def test_values(self):
