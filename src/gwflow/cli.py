@@ -25,7 +25,7 @@ from typing import Iterable
 
 from . import checks as checks_mod
 from .experiment import BadInitialDataError, ExperimentConfig, run_theorem_experiment
-from .flows import SYSTEMS
+from .flows import RangeExceededError, SYSTEMS
 from .integrate import IntegratorConfig, Termination, Trajectory, integrate
 from .portrait import render_portrait
 from .spaces import (
@@ -262,7 +262,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         raise _UsageError(str(exc))
     try:
         traj = integrate(SYSTEMS[system].field(n), [opts[k] for k in state], config)
-    except ValueError as exc:
+    except (ValueError, RangeExceededError) as exc:
         raise _UsageError(f"invalid initial state: {exc}")
 
     _write_text(getattr(args, "output", None), "\n".join(_csv_lines(system, n, traj)) + "\n")

@@ -2,29 +2,31 @@
 
 A run starts at ``(phi, psi) = (N, -epsilon)`` -- a slightly asymmetric
 perturbation of a fast-expanding locus point -- and integrates the
-unit-speed system.  Monitors locate where the Ricci eigenvalues change sign
-and where the two divergence functionals ``psi * phi**(2n-2)`` and
-``r1 * phi`` cross their thresholds; the run's diagnostics record the same
-five quantities at every sample.  The report records when eigenvalues turn
-negative, the final count of negative Ricci eigenvalues, the measured
-late-time decay slope of ``psi`` against its predicted value ``(-4n+5)/3``,
-and whether the integrated decay bound and divergence thresholds were met.
+unit-speed system.  Four monitors locate where the Ricci eigenvalues r1 and
+r2 change sign and where the two divergence functionals ``psi * phi**(2n-2)``
+and ``r1 * phi`` cross their thresholds.  One observer records r1, r2, r3 and
+both functionals at every sample; r3 is recorded for
+:func:`positivity_timeline` but not monitored, since nothing reads its sign
+changes.  The report records when eigenvalues turn negative, the final count
+of negative Ricci eigenvalues, the measured late-time decay slope of ``psi``
+against its predicted value ``(-4n+5)/3``, and whether the integrated decay
+bound and divergence thresholds were met.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .flows import field_reparam, rhs_phase, rhs_reparam, rhs_submersion
+from .flows import RangeExceededError, field_reparam, rhs_phase, rhs_reparam, rhs_submersion
 from .integrate import IntegratorConfig, Monitor, Termination, Trajectory, integrate
 from .spaces import (
     GWSpace,
     RicciSpectrum,
     _phase_ricci_values,
+    _require_n,
     make_pn,
     negative_count,
     smallest_k_positive,
@@ -71,8 +73,7 @@ class ExperimentConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 2):
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        _require_n(self.n)
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if self.N is not None:
@@ -80,8 +81,10 @@ class ExperimentConfig:
                 raise ValueError(f"N must be positive, got {self.N}")
             if not self.N > self.epsilon:
                 raise ValueError(f"need N > epsilon, got N={self.N}, epsilon={self.epsilon}")
-        if not self.t_max > 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        self.integrator_config()  # validates t_max, rel_tol and abs_tol
+
+    def integrator_config(self) -> IntegratorConfig:
+        return IntegratorConfig(t_max=self.t_max, rel_tol=self.rel_tol, abs_tol=self.abs_tol)
 
 
 @dataclass(frozen=True)
@@ -143,15 +146,20 @@ class ExperimentReport:
         }
 
 
-def default_initial_phi(n: int, epsilon: float = 1e-3) -> float:
+def default_initial_phi(n: int, epsilon: float = ExperimentConfig.epsilon) -> float:
     """Smallest candidate ``N`` with axis speed >= 1.1 and a positive
-    spectrum at ``(N, -epsilon)``.
+    spectrum at ``(N, -epsilon)``; a candidate outside the representable
+    range of the flow is not admissible.
 
     Makes the otherwise loose requirement "initial ``phi`` large" concrete
     and reproducible.
     """
     for cand in _DEFAULT_PHI_CANDIDATES:
-        if rhs_submersion(n, cand) < 1.1:
+        try:
+            speed = rhs_submersion(n, cand)
+        except RangeExceededError:
+            continue
+        if speed < 1.1:
             continue
         if min(_phase_ricci_values(n, cand, -epsilon)) > 0:
             return cand
@@ -161,17 +169,18 @@ def default_initial_phi(n: int, epsilon: float = 1e-3) -> float:
     )
 
 
-def _spectrum_at(space: GWSpace, n: int, phi: float, psi: float) -> RicciSpectrum:
-    r1, r2, r3 = _phase_ricci_values(n, phi, psi)
-    return RicciSpectrum.from_eigenvalues(r1, r2, r3, *space.dims)
-
-
 def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Integrate the unit-speed system from ``(N, -epsilon)`` and report.
 
-    Raises :class:`BadInitialDataError` when the initial spectrum has a
-    nonpositive eigenvalue or the starting ``phi`` speed is not above 1
-    (either way ``N`` does not realize the "large initial phi" setup).
+    Raises :class:`BadInitialDataError` when the start is outside the range
+    the flow is evaluated in, when the initial spectrum has a nonpositive
+    eigenvalue, or when the starting ``phi`` speed is not above 1 (either way
+    ``N`` does not realize the "large initial phi" setup).
+    One observer evaluates each state once.  Its record is the run's
+    per-sample record, which the report reads, and it feeds the ``r1``,
+    ``r2`` and ``r1_phi`` monitors; the ``psi_phi_pow`` monitor evaluates no
+    spectrum.  ``r3`` is recorded for :func:`positivity_timeline` but not
+    monitored, as no report field reads its sign changes.
     No monitor stops the run: it ends at ``t_max`` unless a range guard
     or an integrator limit ends it first.  (A stop once both ``r1`` and
     ``r2`` are negative could never fire: the ``r1 + r2`` identity in
@@ -182,74 +191,63 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     space = make_pn(n)
     N = cfg.N if cfg.N is not None else default_initial_phi(n, cfg.epsilon)
     psi0 = -cfg.epsilon
+    pow_exp = 2 * n - 2
 
-    initial_spectrum = _spectrum_at(space, n, N, psi0)
+    # States are unpacked once with tolist(), so that the arithmetic runs on
+    # floats rather than on numpy scalars.
+    def psi_phi_pow(t: float, y: np.ndarray) -> float:
+        phi, psi = y.tolist()
+        return psi * phi ** pow_exp
+
+    # the monitors and the per-sample record ask for the same state in turn
+    last_state, last_record = None, {}
+
+    def observe(t: float, y: np.ndarray) -> dict[str, float]:
+        nonlocal last_state, last_record
+        phi, psi = y.tolist()
+        if (phi, psi) != last_state:
+            r1, r2, r3 = _phase_ricci_values(n, phi, psi)
+            last_state = (phi, psi)
+            last_record = dict(
+                r1=r1, r2=r2, r3=r3, psi_phi_pow=psi_phi_pow(t, y), r1_phi=r1 * phi
+            )
+        return last_record
+
+    def spectrum(r1: float, r2: float, r3: float, **_) -> RicciSpectrum:
+        return RicciSpectrum.from_eigenvalues(r1, r2, r3, *space.dims)
+
+    try:
+        dphi0, _ = rhs_phase(n, N, psi0)
+    except RangeExceededError as exc:
+        raise BadInitialDataError(f"initial state out of range: {exc}") from None
+    y0 = np.array([N, psi0], dtype=float)
+    initial_spectrum = spectrum(**observe(0.0, y0))
     if min(initial_spectrum.values) <= 0:
         raise BadInitialDataError(
             f"initial spectrum {initial_spectrum.values} not positive at "
             f"(phi={N}, psi={psi0}); N is too small for the setup"
         )
-    dphi0, _ = rhs_phase(n, N, psi0)
     if dphi0 <= 1.0:
         raise BadInitialDataError(
             f"initial phi speed {dphi0} <= 1 at phi={N}; N is not large enough"
         )
 
-    pow_exp = 2 * n - 2
-
-    # The r-monitors, r1_phi and the diagnostics all read the spectrum at the
-    # same state, so the last one evaluated is kept.
-    memo_key: tuple[float, float] | None = None
-    memo_values: tuple[float, float, float] = (math.nan,) * 3
-
-    # Every closure unpacks its state once with tolist(), so that the
-    # arithmetic runs on floats rather than on numpy scalars.
-    def ricci(phi: float, psi: float) -> tuple[float, float, float]:
-        nonlocal memo_key, memo_values
-        key = (phi, psi)
-        if key != memo_key:
-            memo_key, memo_values = key, _phase_ricci_values(n, phi, psi)
-        return memo_values
-
-    def r_val(i: int):
-        def fn(t: float, y: np.ndarray) -> float:
-            return ricci(*y.tolist())[i]
-
-        return fn
-
-    def psi_phi_pow(t: float, y: np.ndarray) -> float:
-        phi, psi = y.tolist()
-        return psi * phi ** pow_exp
-
-    def r1_phi(t: float, y: np.ndarray) -> float:
-        phi, psi = y.tolist()
-        return ricci(phi, psi)[0] * phi
-
-    # the per-sample record: the spectrum for positivity_timeline and both
-    # divergence functionals for the report's flags
-    def diagnostics(t: float, y: np.ndarray) -> Mapping[str, float]:
-        r1, r2, r3 = ricci(*y.tolist())
-        return {
-            "r1": r1,
-            "r2": r2,
-            "r3": r3,
-            "psi_phi_pow": psi_phi_pow(t, y),
-            "r1_phi": r1_phi(t, y),
-        }
-
     monitors = [
-        Monitor("r1", r_val(0)),
-        Monitor("r2", r_val(1)),
-        Monitor("r3", r_val(2)),
+        Monitor("r1", lambda t, y: observe(t, y)["r1"]),
+        Monitor("r2", lambda t, y: observe(t, y)["r2"]),
         Monitor("psi_phi_pow", psi_phi_pow, level=cfg.psi_phi_threshold, kind="threshold"),
-        Monitor("r1_phi", r1_phi, level=cfg.r1_phi_threshold, kind="threshold"),
+        Monitor(
+            "r1_phi",
+            lambda t, y: observe(t, y)["r1_phi"],
+            level=cfg.r1_phi_threshold,
+            kind="threshold",
+        ),
     ]
-    config = IntegratorConfig(t_max=cfg.t_max, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
-    traj = integrate(field_reparam(n), [N, psi0], config, monitors, diagnostics)
-
+    traj = integrate(field_reparam(n), y0, cfg.integrator_config(), monitors, observe)
+    diag = traj.diagnostics
     ev_r1 = traj.first_event("r1")
     ev_r2 = traj.first_event("r2")
-    final_spectrum = _spectrum_at(space, n, traj.y[-1, 0], traj.y[-1, 1])
+    final_spectrum = spectrum(**{key: values[-1].item() for key, values in diag.items()})
 
     # monotonicity of the original-time system, sampled along the run
     dphi_min = math.inf
@@ -264,8 +262,6 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     else:
         slope = None
     decay_holds, decay_t0 = decay_bound_check(traj, n)
-    # the diagnostics hold both divergence functionals at every sample
-    diag = traj.diagnostics
 
     return ExperimentReport(
         n=n,
@@ -328,8 +324,8 @@ def decay_bound_check(trajectory: Trajectory, n: int) -> tuple[bool, float | Non
 def divergence_check(
     trajectory: Trajectory,
     n: int,
-    psi_phi_threshold: float = -1e3,
-    r1_phi_threshold: float = -1e2,
+    psi_phi_threshold: float = ExperimentConfig.psi_phi_threshold,
+    r1_phi_threshold: float = ExperimentConfig.r1_phi_threshold,
 ) -> dict[str, bool]:
     """Whether the two divergence functionals dipped below their thresholds
     at any sample.

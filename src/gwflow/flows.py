@@ -76,8 +76,13 @@ class InadmissibleStateError(ValueError):
     """
 
 
-class ReparamInvalidError(ValueError):
-    """The unit-speed time change requires ``phi' > 0`` at the given point."""
+class ReparamInvalidError(InadmissibleStateError):
+    """The unit-speed time change requires ``phi' > 0`` at the given point.
+
+    A trial stage outside the time change's domain is retried with a smaller
+    step, like any inadmissible stage; a run that reaches ``phi' = 0`` ends
+    in step-size underflow there.
+    """
 
 
 @lru_cache(maxsize=None)
@@ -96,14 +101,8 @@ def _guard_phase(n: int, phi: float, psi: float) -> None:
         )
 
 
-def rhs_full(
-    space: GWSpace, x1: float, x2: float, x3: float, normalized: bool = True
-) -> tuple[float, float, float]:
-    """Blockwise flow ``x_i' = -2 r_i x_i + (2 S / d) x_i`` (volume-normalized).
-
-    With ``normalized=False`` the trace term is dropped, giving the plain
-    flow ``x_i' = -2 r_i x_i``; no long-run claims are attached to it.
-    """
+def rhs_full(space: GWSpace, x1: float, x2: float, x3: float) -> tuple[float, float, float]:
+    """Blockwise flow ``x_i' = -2 r_i x_i + (2 S / d) x_i`` (volume-normalized)."""
     for x in (x1, x2, x3):
         if not x > 0:
             raise InadmissibleStateError(
@@ -111,17 +110,13 @@ def rhs_full(
             )
         if x > _X_LIMIT or x < 1.0 / _X_LIMIT:
             raise RangeExceededError(f"scale factor {x} outside guarded range")
-    return _full_values(space, x1, x2, x3, normalized)
+    return _full_values(space, x1, x2, x3)
 
 
-def _full_values(space: GWSpace, x1, x2, x3, normalized: bool = True):
+def _full_values(space: GWSpace, x1, x2, x3):
     # the formula of rhs_full, unguarded; x1, x2, x3 may be float64 arrays
     r1, r2, r3 = _ricci_values(space, x1, x2, x3)
-    if normalized:
-        s = space.d1 * r1 + space.d2 * r2 + space.d3 * r3
-        trace = 2.0 * s / space.d
-    else:
-        trace = 0.0
+    trace = 2.0 * (space.d1 * r1 + space.d2 * r2 + space.d3 * r3) / space.d
     return (
         (-2.0 * r1 + trace) * x1,
         (-2.0 * r2 + trace) * x2,

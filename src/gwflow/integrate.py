@@ -160,10 +160,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.t.size
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.y[-1]
-
     def first_event(self, name: str) -> Event | None:
         for ev in self.events:
             if ev.name == name:

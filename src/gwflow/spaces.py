@@ -118,8 +118,7 @@ class PhasePoint:
     n: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 2):
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        _require_n(self.n)
         if not (self.phi > 0 and math.isfinite(self.phi)):
             raise ValueError(f"phi must be positive and finite, got {self.phi}")
         if not self.phi > abs(self.psi):

@@ -11,7 +11,7 @@ import pytest
 from gwflow import checks, cli
 from gwflow.checks import CheckResult, run_invariant_checks
 from gwflow.experiment import ExperimentConfig
-from gwflow.flows import SYSTEMS
+from gwflow.flows import SYSTEMS, submersion_fixed_points
 from gwflow.integrate import IntegratorConfig
 from gwflow.portrait import render_portrait
 
@@ -101,6 +101,18 @@ class TestFlowCommand:
         _, rows = parse_csv(out)
         assert all(float(row["psi"]) < 0 for row in rows)
 
+    def test_reparam_run_ends_where_phi_speed_vanishes(self, capsys):
+        # the start is admissible (phi' = 0.73); the run climbs the axis to the
+        # lower fixed point, where phi' = 0 and the time change ends
+        code, out, err = run_cli(
+            capsys, "flow", "--n", "2", "--system", "reparam", "--phi", "1.0", "--psi", "0",
+        )
+        assert code == 2
+        assert err == ""
+        _, rows = parse_csv(out)
+        assert len(rows) > 1
+        assert abs(float(rows[-1]["phi"]) - submersion_fixed_points(2)[0]) < 1e-9
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -136,6 +148,32 @@ class TestFlowCommand:
 
 PHASE_FLOW = ("flow", "--n", "2", "--system", "phase", "--phi", "2", "--psi", "0")
 PORTRAIT = ("portrait", "--n", "2", "--phi-range", "1:3", "--psi-range", "-1:1")
+
+
+@pytest.mark.parametrize(
+    "argv,code,reason",
+    [
+        (("flow", "--n", "2", "--system", "full", "--x1", "1e200", "--x2", "1", "--x3", "1"),
+         1, "range"),
+        (("flow", "--n", "2", "--system", "phase", "--phi", "1e100", "--psi", "0"), 1, "range"),
+        (("flow", "--n", "2", "--system", "submersion", "--phi", "1e100"), 1, "range"),
+        (("flow", "--n", "2", "--system", "reduced", "--x1", "1e100", "--x2", "1"), 1, "range"),
+        (("experiment", "--n", "2", "--rel-tol", "-1"), 1, "rel_tol must be positive"),
+        (("experiment", "--n", "2", "--abs-tol", "0"), 1, "abs_tol must be positive"),
+        (("experiment", "--n", "2", "--N", "1e100", "--epsilon", "0"), 3, "out of range"),
+        (("experiment", "--n", "2", "--N", "1e200"), 3, "out of range"),
+        (("experiment", "--n", "8", "--N", "1e18", "--epsilon", "0"), 3, "out of range"),
+        (("experiment", "--n", "200"), 3, "no candidate"),
+    ],
+)
+def test_bad_input_gets_a_reason(capsys, argv, code, reason):
+    # exit 1 is a usage error, exit 3 a refused start; neither writes output
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith("gwflow")
+    assert reason in err
+    assert "Traceback" not in err
 
 
 class TestConfigFileValueTypes:

@@ -47,6 +47,10 @@ class TestConfig:
             ExperimentConfig(n=2, N=1e-3, epsilon=1e-2)
         with pytest.raises(ValueError):
             ExperimentConfig(n=2, t_max=0.0)
+        with pytest.raises(ValueError, match="rel_tol"):
+            ExperimentConfig(n=2, rel_tol=-1.0)
+        with pytest.raises(ValueError, match="abs_tol"):
+            ExperimentConfig(n=2, abs_tol=0.0)
 
     def test_defaults(self):
         cfg = ExperimentConfig(n=3)
@@ -70,6 +74,25 @@ class TestRunMechanics:
     def test_small_initial_phi_rejected(self):
         with pytest.raises(BadInitialDataError):
             run_theorem_experiment(ExperimentConfig(n=2, N=2.0))
+
+    def test_monitors_read_the_recorded_observer(self, monkeypatch):
+        # r3 is recorded for positivity_timeline but not monitored
+        calls = []
+
+        def recorded(rhs, y0, config, monitors, diagnostics):
+            calls.append((monitors, diagnostics))
+            return integrate(rhs, y0, config, monitors, diagnostics)
+
+        monkeypatch.setattr(experiment, "integrate", recorded)
+        run_theorem_experiment(ExperimentConfig(n=2, t_max=10.0))
+        ((monitors, observe),) = calls
+        assert [m.name for m in monitors] == ["r1", "r2", "psi_phi_pow", "r1_phi"]
+        y = np.array([5.0, -2e-3])
+        record = observe(0.0, y)
+        assert set(record) == {"r1", "r2", "r3", "psi_phi_pow", "r1_phi"}
+        assert tuple(record[k] for k in ("r1", "r2", "r3")) == _phase_ricci_values(2, 5.0, -2e-3)
+        for m in monitors:
+            assert m.fn(0.0, y) == record[m.name]
 
     def test_r1_block_turns_negative(self, report_n2):
         rep = report_n2

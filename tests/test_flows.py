@@ -38,10 +38,6 @@ class TestFullSystem:
         dx = rhs_full(make_pn(3), 1.0, 1.0, 1.0)
         assert dx == pytest.approx((-0.02, -0.02, 0.08), rel=1e-12)
 
-    def test_unnormalized_drops_trace_term(self):
-        dx = rhs_full(make_pn(2), 1.0, 1.0, 1.0, normalized=False)
-        assert dx == pytest.approx((-0.875, -0.875, -0.875), rel=1e-15)
-
     @given(n=small_n, x1=scales, x2=scales, x3=scales)
     @settings(max_examples=80, deadline=None)
     def test_volume_conservation_in_differential_form(self, n, x1, x2, x3):

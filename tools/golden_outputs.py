@@ -4,11 +4,12 @@
 
 Runs each op of the ``perfbench`` pools (``experiment``, ``boundary`` and
 ``cli-mix``) of the checkout at ``CHECKOUT`` through that checkout's own
-``perfbench/workloads.py``, which imports the ``gwflow`` sources under its
-``src/``.  Prints one line per op: the workload, the op's key, its exit code
-and the sha256 of its output file followed by its standard output.  Two
-checkouts produce byte-identical outputs when ``diff`` finds no difference
-between their listings.
+``gwflow.cli.main``, imported by its ``perfbench/workloads.py`` from the
+sources under its ``src/``.  Prints one line per op: the workload, the op's
+key, its exit code, the sha256 of its output file followed by its standard
+output, and the sha256 of its standard error (so a changed refusal reason
+shows too).  Two checkouts produce byte-identical outputs when ``diff`` finds
+no difference between their listings.
 
 Exits 1 if any op raises, and removes the ops' work directory either way.
 """
@@ -16,10 +17,36 @@ Exits 1 if any op raises, and removes the ops' work directory either way.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import sys
+import traceback
 from pathlib import Path
-from types import SimpleNamespace
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _run(workloads, op) -> tuple[int | None, str, str, str]:
+    """One op through ``gwflow.cli.main``: its exit code (``None`` if it
+    raised), output file text, standard output and standard error."""
+    workloads.WORK_DIR.mkdir(parents=True, exist_ok=True)
+    out_path = op.output
+    if out_path is not None and out_path.exists():
+        out_path.unlink()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    rc = raised = None
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            rc = workloads.cli.main(list(op.argv))
+        except Exception:
+            raised = traceback.format_exc()
+    if raised is not None:
+        print(f"op {op.key} raised:\n{raised}", file=sys.stderr)
+    text = out_path.read_text() if out_path is not None and out_path.exists() else ""
+    return rc, text, stdout.getvalue(), stderr.getvalue()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -33,15 +60,13 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(perfbench))
     import workloads
 
-    hooks = SimpleNamespace(trajectories=[])  # execute() clears and reads it
     raised = 0
     try:
         for workload in workloads.WORKLOADS:
             for op in workloads.pool(workload):
-                result, text, stdout = workloads.execute(op, hooks)
-                raised += result.status == "raised"
-                digest = hashlib.sha256((text + stdout).encode()).hexdigest()
-                print(f"{workload}\t{op.key}\t{result.exit_code}\t{digest}")
+                rc, text, stdout, stderr = _run(workloads, op)
+                raised += rc is None
+                print(f"{workload}\t{op.key}\t{rc}\t{_sha256(text + stdout)}\t{_sha256(stderr)}")
     finally:
         workloads.remove_work_dir()
         try:
