@@ -3,12 +3,12 @@
 The stepper is the classic Dormand-Prince 5(4) pair (seven stages, FSAL)
 with proportional-integral step-size control.  Monitors only locate events
 (``diagnostics`` records per-sample values): each is evaluated at every
-accepted step, and a sign change (or level crossing) across a step is
-localized by Brent's method, with in-step states produced by a single
-full-order stage pass from the step's left endpoint (so localized event
-times inherit the integrator's accuracy rather than an interpolant's).  The
-search stops once the bracket is ``event_tol`` wide or no float lies
-strictly inside it.
+accepted step, and a crossing of its level across a step is localized by
+Brent's method, with in-step states produced by a single full-order stage
+pass from the step's left endpoint (so localized event times inherit the
+integrator's accuracy rather than an interpolant's).  The search stops once
+the bracket is ``event_tol`` wide or no float lies strictly inside it.  A
+monitor marked ``stop`` ends the run at its first located crossing.
 
 The states here have one to three components, where numpy's per-call
 overhead costs far more than the arithmetic, so each step runs on Python
@@ -87,7 +87,10 @@ class IntegratorConfig:
 
     ``event_tol`` bounds the width of the final sign-change bracket when
     localizing an event in time (or the bracket is one ulp wide, where an
-    ulp of ``t`` exceeds it).
+    ulp of ``t`` exceeds it).  Every tolerance and limit must be positive and
+    finite, except ``max_step``, which may be infinite (no cap): an infinite
+    ``t_max`` would let the step size overflow to ``inf``, where every trial
+    step is non-finite and halving it never ends.
     """
 
     t_max: float
@@ -99,10 +102,12 @@ class IntegratorConfig:
     event_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "initial_step", "max_step", "event_tol", "t_max"):
+        for name in ("rel_tol", "abs_tol", "initial_step", "event_tol", "t_max"):
             v = getattr(self, name)
-            if not v > 0:
-                raise ValueError(f"{name} must be positive, got {v}")
+            if not 0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v}")
+        if not self.max_step > 0:
+            raise ValueError(f"max_step must be positive, got {self.max_step}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
@@ -111,35 +116,23 @@ class IntegratorConfig:
 class Monitor:
     """A named scalar functional of ``(t, state)`` watched during a run.
 
-    kind:
-        ``"sign_change"`` records every strict sign change of ``fn``;
-        ``"threshold"`` records crossings of ``fn`` through ``level``;
-        ``"stop"`` additionally terminates the run at the crossing.
+    Every strict crossing of ``fn`` through ``level`` is located and recorded
+    as an :class:`Event`; with ``stop`` set, the first one also ends the run.
     """
 
     name: str
     fn: Callable[[float, np.ndarray], float]
     level: float = 0.0
-    kind: str = "sign_change"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("sign_change", "threshold", "stop"):
-            raise ValueError(f"unknown monitor kind {self.kind!r}")
-
-    @property
-    def terminal(self) -> bool:
-        return self.kind == "stop"
+    stop: bool = False
 
 
 @dataclass(frozen=True)
 class Event:
-    """A localized monitor crossing."""
+    """A located crossing of the monitor ``name``: its time and state."""
 
-    kind: str
     name: str
     t: float
     state: np.ndarray
-    level: float = 0.0
 
 
 @dataclass
@@ -410,7 +403,7 @@ def integrate(
         t_new = t_end if final else t + h
         y_arr = np.array(y_new)  # monitors and diagnostics see ndarrays
 
-        stop: Event | None = None
+        stop_ev: Event | None = None
         step_events: list[Event] = []
         try:
             mon_now = [m.fn(t_new, y_arr) - m.level for m in monitors]
@@ -429,18 +422,18 @@ def integrate(
                         g0,
                         g1,
                     )
-                    ev = Event(m.kind, m.name, t_star, interp(t_star), m.level)
+                    ev = Event(m.name, t_star, interp(t_star))
                     step_events.append(ev)
-                    if m.terminal and (stop is None or t_star < stop.t):
-                        stop = ev
+                    if m.stop and (stop_ev is None or t_star < stop_ev.t):
+                        stop_ev = ev
             step_events.sort(key=lambda ev: ev.t)
 
-            if stop is not None:
+            if stop_ev is not None:
                 if diagnostics is not None:
-                    diag_rows.append(dict(diagnostics(stop.t, stop.state)))
-                events.extend(ev for ev in step_events if ev.t <= stop.t)
-                ts.append(stop.t)
-                ys.append(stop.state)
+                    diag_rows.append(dict(diagnostics(stop_ev.t, stop_ev.state)))
+                events.extend(ev for ev in step_events if ev.t <= stop_ev.t)
+                ts.append(stop_ev.t)
+                ys.append(stop_ev.state)
                 termination = Termination.EVENT_STOP
                 break
 

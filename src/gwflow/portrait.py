@@ -42,10 +42,19 @@ def render_portrait(
     the located exit on the window's edge), or until the run ends first:
     ``traj_t_max`` of flow time, a blow-up, or the step cap.  A start
     outside the window or the cone draws nothing, and neither does a start
-    on the window's edge whose flow does not point into the window.
+    on the window's edge whose flow does not point into the window.  A
+    non-finite window bound or start, or a ``traj_t_max`` that is not
+    positive and finite, is refused with :class:`ValueError`.
     """
     phi_min, phi_max = phi_range
     psi_min, psi_max = psi_range
+    if not all(map(math.isfinite, (*phi_range, *psi_range))):
+        raise ValueError(f"bounding box {phi_range} x {psi_range} must be finite")
+    for start in starts:
+        if not all(map(math.isfinite, start)):
+            raise ValueError(f"start {start} must be finite")
+    if not 0 < traj_t_max < math.inf:
+        raise ValueError(f"traj_t_max must be positive and finite, got {traj_t_max}")
     if not (phi_max > phi_min and psi_max > psi_min):
         raise ValueError(f"empty bounding box {phi_range} x {psi_range}")
     border = 0.0 if psi_min <= 0.0 <= psi_max else min(abs(psi_min), abs(psi_max))
@@ -190,7 +199,7 @@ def _trajectory_points(n, phi0, psi0, t_max, phi_min, phi_max, psi_min, psi_max)
         if any(dist == 0.0 and inward <= 0.0 for dist, inward in edges):
             return []
     cfg = IntegratorConfig(t_max=t_max, rel_tol=1e-8, abs_tol=1e-10, max_steps=20_000)
-    traj = integrate(field_phase(n), [phi0, psi0], cfg, [Monitor("window", depth, kind="stop")])
+    traj = integrate(field_phase(n), [phi0, psi0], cfg, [Monitor("window", depth, stop=True)])
     points = []
     for phi, psi in traj.y:
         points.append((float(phi), float(psi)))

@@ -131,8 +131,8 @@ class PhasePoint:
 class RicciSpectrum:
     """Eigenvalues of the Ricci tensor with their multiplicities.
 
-    ``scalar`` is the multiplicity-weighted sum ``d1*r1 + d2*r2 + d3*r3``
-    (the scalar curvature).
+    ``scalar`` is derived, never stored: the multiplicity-weighted sum
+    ``d1*r1 + d2*r2 + d3*r3`` (the scalar curvature).
     """
 
     r1: float
@@ -141,20 +141,10 @@ class RicciSpectrum:
     d1: int
     d2: int
     d3: int
-    scalar: float
 
-    def __post_init__(self) -> None:
-        s = self.d1 * self.r1 + self.d2 * self.r2 + self.d3 * self.r3
-        if abs(self.scalar - s) > 1e-12 * max(1.0, abs(s)):
-            raise ValueError(
-                f"scalar={self.scalar} inconsistent with weighted sum {s}"
-            )
-
-    @classmethod
-    def from_eigenvalues(
-        cls, r1: float, r2: float, r3: float, d1: int, d2: int, d3: int
-    ) -> "RicciSpectrum":
-        return cls(r1, r2, r3, d1, d2, d3, d1 * r1 + d2 * r2 + d3 * r3)
+    @property
+    def scalar(self) -> float:
+        return self.d1 * self.r1 + self.d2 * self.r2 + self.d3 * self.r3
 
     @property
     def values(self) -> tuple[float, float, float]:
@@ -212,7 +202,7 @@ def ricci_coefficients(space: GWSpace, metric: Metric) -> RicciSpectrum:
     every eigenvalue by ``c``.
     """
     r1, r2, r3 = _ricci_values(space, *metric.xs)
-    return RicciSpectrum.from_eigenvalues(r1, r2, r3, *space.dims)
+    return RicciSpectrum(r1, r2, r3, *space.dims)
 
 
 def _log_volume(space: GWSpace, metric: Metric) -> float:
@@ -293,7 +283,7 @@ def ricci_phase(p: PhasePoint) -> RicciSpectrum:
     """
     r1, r2, r3 = _phase_ricci_values(p.n, p.phi, p.psi)
     space = make_pn(p.n)
-    return RicciSpectrum.from_eigenvalues(r1, r2, r3, *space.dims)
+    return RicciSpectrum(r1, r2, r3, *space.dims)
 
 
 def _sorted_blocks(spectrum: RicciSpectrum) -> list[tuple[float, int]]:

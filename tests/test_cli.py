@@ -164,6 +164,17 @@ PORTRAIT = ("portrait", "--n", "2", "--phi-range", "1:3", "--psi-range", "-1:1")
         (("experiment", "--n", "2", "--N", "1e200"), 3, "out of range"),
         (("experiment", "--n", "8", "--N", "1e18", "--epsilon", "0"), 3, "out of range"),
         (("experiment", "--n", "200"), 3, "no candidate"),
+        # non-finite numbers; an infinite t_max used to hang the integrator
+        ((*PHASE_FLOW, "--t-max", "inf", "--max-steps", "1000"), 1, "t_max must be"),
+        (("experiment", "--n", "2", "--t-max", "inf"), 1, "t_max must be"),
+        (("experiment", "--n", "2", "--epsilon", "nan"), 1, "epsilon must be finite"),
+        (("experiment", "--n", "2", "--psi-phi-threshold", "nan"), 1, "psi_phi_threshold"),
+        (("experiment", "--n", "2", "--r1-phi-threshold=-inf"), 1, "r1_phi_threshold"),
+        (("portrait", "--n", "2", "--phi-range", "0:inf", "--psi-range", "-1:1"), 1, "finite"),
+        (("portrait", "--n", "2", "--phi-range", "1:3", "--psi-range", "nan:1"), 1, "finite"),
+        ((*PORTRAIT, "--start", "nan,0.5"), 1, "start (nan, 0.5) must be finite"),
+        ((*PORTRAIT, "--start", "2,inf"), 1, "start (2.0, inf) must be finite"),
+        ((*PORTRAIT, "--traj-t-max", "inf"), 1, "traj_t_max must be positive and finite"),
     ],
 )
 def test_bad_input_gets_a_reason(capsys, argv, code, reason):

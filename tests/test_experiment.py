@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,12 @@ class TestConfig:
             ExperimentConfig(n=2, rel_tol=-1.0)
         with pytest.raises(ValueError, match="abs_tol"):
             ExperimentConfig(n=2, abs_tol=0.0)
+
+    @pytest.mark.parametrize("name", ["N", "epsilon", "psi_phi_threshold", "r1_phi_threshold"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_is_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ExperimentConfig(n=2, **{name: value})
 
     def test_defaults(self):
         cfg = ExperimentConfig(n=3)

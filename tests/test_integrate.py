@@ -75,6 +75,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
 
+    def test_infinite_t_max_is_refused(self):
+        # an infinite horizon lets h overflow to inf, where halving a
+        # non-finite trial step never ends: refused before any step
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            IntegratorConfig(t_max=math.inf)
+
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "initial_step", "event_tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_tolerance_is_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            IntegratorConfig(t_max=1.0, **{name: value})
+
 
 class TestBasicRuns:
     def test_unit_speed_system_is_linear(self):
@@ -131,16 +143,27 @@ class TestEvents:
         assert times == sorted(times)
 
     def test_threshold_monitor_records_level(self):
-        mon = Monitor("level", lambda t, y: y[0], level=5.0, kind="threshold")
+        mon = Monitor("level", lambda t, y: y[0], level=5.0)
         traj = integrate(constant_field([2.0]), [0.0], IntegratorConfig(t_max=5.0), [mon])
         assert len(traj.events) == 1
         ev = traj.events[0]
-        assert ev.kind == "threshold"
-        assert ev.level == 5.0
+        assert ev.name == "level"
         assert abs(ev.t - 2.5) <= 1e-10
 
+    def test_level_is_a_shift_of_the_functional(self):
+        # a crossing of fn through L is located where fn - L changes sign
+        level = 2.5
+        mons = [
+            Monitor("level", lambda t, y: y[0], level=level),
+            Monitor("shifted", lambda t, y: y[0] - level),
+        ]
+        traj = integrate(field_phase(2), [1.8, -0.3], IntegratorConfig(t_max=5.0), mons)
+        (by_level,) = [ev for ev in traj.events if ev.name == "level"]
+        (shifted,) = [ev for ev in traj.events if ev.name == "shifted"]
+        assert by_level.t == shifted.t
+
     def test_stop_monitor_truncates_run(self):
-        mon = Monitor("stop_here", lambda t, y: y[0] - 1.0, kind="stop")
+        mon = Monitor("stop_here", lambda t, y: y[0] - 1.0, stop=True)
         traj = integrate(constant_field([1.0]), [0.0], IntegratorConfig(t_max=5.0), [mon])
         assert traj.termination is Termination.EVENT_STOP
         assert abs(traj.t[-1] - 1.0) <= 1e-10
@@ -381,7 +404,7 @@ class TestFloatKernel:
 
         traj = integrate(
             rhs, [0.0, 1.0], IntegratorConfig(t_max=2.0, initial_step=0.1),
-            [Monitor("half", mon), Monitor("end", stop, kind="stop")], diag,
+            [Monitor("half", mon), Monitor("end", stop, stop=True)], diag,
         )
         assert [ev.name for ev in traj.events] == ["half", "end"]
         assert {who for who, _ in seen} == {"rhs", "monitor", "stop", "diagnostics"}
