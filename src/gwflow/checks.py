@@ -114,7 +114,7 @@ def _check_rhs_consistency(n: int):
     phi, psi, x1, x2, x3 = _slice_grid(n)
     dx_full = flows._full_values(make_pn(n), x1, x2, x3)
     dx_red = flows._reduced_values(n, x1, x2)
-    d_phase = flows._phase_values(n, phi, psi)
+    d_phase = flows._phase_values(flows._pn(n), phi, psi)
     ok, worst = _deviation(
         (dx_full[0], dx_full[1], d_phase[0], d_phase[1]),
         (dx_red[0], dx_red[1], dx_red[0] + dx_red[1], dx_red[0] - dx_red[1]),

@@ -252,7 +252,7 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # monotonicity of the original-time system, sampled along the run; the
     # field ran rhs_phase, guard included, on every sample (at the start and
     # as each step's last stage), so the unguarded kernel is enough here
-    dphi, dpsi = flows._phase_values(n, traj.y[:, 0], traj.y[:, 1])
+    dphi, dpsi = flows._phase_values(flows._pn(n), traj.y[:, 0], traj.y[:, 1])
 
     if np.all(traj.y[:, 1] < 0):
         slope = asymptotic_slope(traj, n)

@@ -17,7 +17,8 @@ turns finite-time blow-up of the original system into linear growth
 
 :data:`SYSTEMS` names the five formulations with their state components and
 integrator-ready vector fields (the ``field_*`` constructors); the CLI reads
-every per-system fact from it.
+every per-system fact from it.  A vector field maps ``(t, y)``, ``y`` an
+ndarray, to the derivative as a tuple of floats.
 
 The formulas of :func:`rhs_full`, :func:`rhs_reduced_x` and :func:`rhs_phase`
 live in unguarded kernels (``_full_values``, ``_reduced_values``,
@@ -28,11 +29,14 @@ kernel call: the guards reject inadmissible states with
 (or ``(x1*x2)**n``, or the ``x_i``) inside the representable range, raising
 :class:`RangeExceededError` instead of returning infinities; long runs
 deliberately drive ``phi`` to infinity and integration must stop cleanly.
+The phase guard and kernel read their bounds and constants from a record
+built, and ``n`` validated, once per ``n`` (``_pn``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -62,6 +66,7 @@ __all__ = [
 
 RANGE_LIMIT = 1e280
 _X_LIMIT = 1e140  # per-factor bound keeping x_i/(x_j*x_k) within range
+Field = Callable[[float, np.ndarray], tuple[float, ...]]  # (t, state) -> derivative
 
 
 class RangeExceededError(ArithmeticError):
@@ -91,14 +96,15 @@ def _phase_bounds(n: int) -> tuple[float, float]:
     return RANGE_LIMIT ** (-1.0 / n), RANGE_LIMIT ** (1.0 / n)
 
 
-def _guard_phase(n: int, phi: float, psi: float) -> None:
-    if not phi > abs(psi):
-        raise InadmissibleStateError(f"inadmissible phase point (phi={phi}, psi={psi})")
-    lo, hi = _phase_bounds(n)
-    if phi * phi > hi or phi * phi - psi * psi < lo:
-        raise RangeExceededError(
-            f"(phi^2 - psi^2)^{n} outside representable range at phi={phi}, psi={psi}"
-        )
+_Pn = namedtuple("_Pn", "n lo hi pow4q c4 q2 r k6 k4 k2")  # n, guard bounds, constants
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 is still validated, and refused, once 2 is cached
+def _pn(n: int) -> _Pn:
+    _require_n(n)
+    q = (n + 2) * (2 * n - 1)  # each constant in the formula's own order: same bits
+    return _Pn(n, *_phase_bounds(n), 4.0 ** (n - 1) * q, 4.0 ** n * n, 2 * q,
+               (n - 1) / (2 * n - 1), 6 * n - 1, -4 * n + 5, 2 * n + 1)
 
 
 def rhs_full(space: GWSpace, x1: float, x2: float, x3: float) -> tuple[float, float, float]:
@@ -158,36 +164,41 @@ def rhs_phase(n: int, phi: float, psi: float) -> tuple[float, float]:
     ``dphi`` is even in ``psi``; ``dpsi`` carries an overall factor ``psi``,
     so the axis ``psi = 0`` is invariant and the sign of ``psi`` is preserved.
     """
-    _require_n(n)
-    _guard_phase(n, phi, psi)
-    return _phase_values(n, phi, psi)
+    return _phase(_pn(n), phi, psi)
 
 
-def _phase_values(n: int, phi, psi):
-    # the formula of rhs_phase, unguarded; phi, psi may be float64 arrays
+def _phase(c: _Pn, phi: float, psi: float) -> tuple[float, float]:
+    # rhs_phase for the constants c of one n: its guard, then its kernel
+    if not phi > abs(psi):
+        raise InadmissibleStateError(f"inadmissible phase point (phi={phi}, psi={psi})")
+    if phi * phi > c.hi or phi * phi - psi * psi < c.lo:
+        raise RangeExceededError(
+            f"(phi^2 - psi^2)^{c.n} outside representable range at phi={phi}, psi={psi}"
+        )
+    return _phase_values(c, phi, psi)
+
+
+def _phase_values(c: _Pn, phi, psi):
+    # the formula of rhs_phase, unguarded, with c = _pn(n); phi, psi may be float64 arrays
+    n, _, _, pow4q, c4, q2, r, k6, k4, k2 = c
     p2 = phi * phi - psi * psi
-    pow4 = 4.0 ** (n - 1)
-    q = (n + 2) * (2 * n - 1)
-    dphi = (
-        -2.0
-        + p2 ** (n - 2) / (pow4 * q) * (3 * phi ** 3 - (6 * n - 1) * phi * psi * psi)
-        + 4.0 ** n * n * phi / (2 * q * p2 ** n)
-        + (n - 1) / (2 * n - 1) * (4 * phi * phi / p2)
-    )
-    bracket = (
-        p2 ** (n - 2) / (pow4 * q) * ((-4 * n + 5) * phi * phi - (2 * n + 1) * psi * psi)
-        + 4.0 ** n * n / (2 * q * p2 ** n)
-        + (n - 1) / (2 * n - 1) * (4 * phi / p2)
-    )
+    low = p2 ** (n - 2) / pow4q
+    high = q2 * p2 ** n
+    dphi = (-2.0 + low * (3 * phi ** 3 - k6 * phi * psi * psi)
+            + c4 * phi / high + r * (4 * phi * phi / p2))
+    bracket = low * (k4 * phi * phi - k2 * psi * psi) + c4 / high + r * (4 * phi / p2)
     return dphi, psi * bracket
 
 
 def rhs_submersion(n: int, phi: float) -> float:
     """Axis restriction: the scalar speed of ``phi`` on the locus ``psi = 0``."""
-    _require_n(n)
+    c = _pn(n)
     if not phi > 0:
         raise InadmissibleStateError(f"phi must be positive, got {phi}")
-    _guard_phase(n, phi, 0.0)
+    if phi * phi > c.hi or phi * phi < c.lo:  # the guard of rhs_phase at psi = 0
+        raise RangeExceededError(
+            f"(phi^2 - psi^2)^{n} outside representable range at phi={phi}, psi=0.0"
+        )
     u = phi ** (2 * n - 1)
     return (
         -2.0 + 3 * u / (4.0 ** (n - 1) * (n + 2)) + 4.0 ** n * n / (2 * (n + 2) * u)
@@ -200,7 +211,11 @@ def rhs_reparam(n: int, phi: float, psi: float) -> tuple[float, float]:
     Only defined where the original ``phi`` speed is positive; elsewhere the
     time change does not exist and :class:`ReparamInvalidError` is raised.
     """
-    dphi, dpsi = rhs_phase(n, phi, psi)
+    return _reparam(_pn(n), phi, psi)
+
+
+def _reparam(c: _Pn, phi: float, psi: float) -> tuple[float, float]:
+    dphi, dpsi = _phase(c, phi, psi)
     if not dphi > 0:
         raise ReparamInvalidError(
             f"phi' = {dphi} <= 0 at (phi={phi}, psi={psi}); reparametrization undefined"
@@ -225,47 +240,54 @@ def submersion_fixed_points(n: int) -> tuple[float, float]:
     return u_minus ** e, u_plus ** e
 
 
-def field_full(space: GWSpace) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Integrator-ready vector field for :func:`rhs_full` (state ``[x1, x2, x3]``)."""
+def field_full(space: GWSpace) -> Field:
+    """Vector field for :func:`rhs_full` (state ``[x1, x2, x3]``), returning its tuple."""
 
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(rhs_full(space, *y.tolist()))
-
-    return f
-
-
-def field_reduced(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Vector field for :func:`rhs_reduced_x` (state ``[x1, x2]``)."""
-
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(rhs_reduced_x(n, *y.tolist()))
+    def f(t: float, y: np.ndarray) -> tuple[float, float, float]:
+        x1, x2, x3 = y.tolist()
+        return rhs_full(space, x1, x2, x3)
 
     return f
 
 
-def field_phase(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Vector field for :func:`rhs_phase` (state ``[phi, psi]``)."""
+def field_reduced(n: int) -> Field:
+    """Vector field for :func:`rhs_reduced_x` (state ``[x1, x2]``), returning its tuple."""
 
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(rhs_phase(n, *y.tolist()))
-
-    return f
-
-
-def field_reparam(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Vector field for :func:`rhs_reparam` (state ``[phi, psi]``)."""
-
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(rhs_reparam(n, *y.tolist()))
+    def f(t: float, y: np.ndarray) -> tuple[float, float]:
+        x1, x2 = y.tolist()
+        return rhs_reduced_x(n, x1, x2)
 
     return f
 
 
-def field_submersion(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Vector field for :func:`rhs_submersion` (state ``[phi]``)."""
+def field_phase(n: int) -> Field:
+    """Vector field for :func:`rhs_phase` (state ``[phi, psi]``), returning its tuple."""
+    c = _pn(n)
 
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        return np.array([rhs_submersion(n, *y.tolist())])
+    def f(t: float, y: np.ndarray) -> tuple[float, float]:
+        phi, psi = y.tolist()
+        return _phase(c, phi, psi)
+
+    return f
+
+
+def field_reparam(n: int) -> Field:
+    """Vector field for :func:`rhs_reparam` (state ``[phi, psi]``), returning its tuple."""
+    c = _pn(n)
+
+    def f(t: float, y: np.ndarray) -> tuple[float, float]:
+        phi, psi = y.tolist()
+        return _reparam(c, phi, psi)
+
+    return f
+
+
+def field_submersion(n: int) -> Field:
+    """Vector field for :func:`rhs_submersion` (state ``[phi]``), returning ``(phi',)``."""
+
+    def f(t: float, y: np.ndarray) -> tuple[float]:
+        (phi,) = y.tolist()
+        return (rhs_submersion(n, phi),)
 
     return f
 
@@ -273,11 +295,11 @@ def field_submersion(n: int) -> Callable[[float, np.ndarray], np.ndarray]:
 @dataclass(frozen=True)
 class System:
     """One formulation on ``P_n``: its state components, in order, and
-    ``field(n)``, the vector field it integrates."""
+    ``field(n)``, the vector field it integrates, which returns a tuple."""
 
     name: str
     state: tuple[str, ...]
-    field: Callable[[int], Callable[[float, np.ndarray], np.ndarray]]
+    field: Callable[[int], Field]
 
 
 SYSTEMS: dict[str, System] = {

@@ -14,9 +14,11 @@ The states here have one to three components, where numpy's per-call
 overhead costs far more than the arithmetic, so each step runs on Python
 floats: the state, the stages, the 5th-order update, the error estimate and
 its norm are lists of floats, the stages unrolled as in Hairer's DOPRI5.
-The right-hand side still receives every stage state as a fresh ndarray;
-monitors and diagnostics receive ndarrays, and a :class:`Trajectory` and
-its events hold ndarrays.
+The right-hand side still receives every stage state as a fresh ndarray; a
+tuple of floats it returns (as gwflow's vector fields do) is used as it is,
+and any other result is copied to a list of floats at once.  Monitors and
+diagnostics receive ndarrays, and a :class:`Trajectory` and its events hold
+ndarrays.
 
 The problems integrated here are smooth and non-stiff by construction; when
 a right-hand side reports :class:`~gwflow.flows.RangeExceededError`, or the
@@ -160,31 +162,32 @@ class Trajectory:
         return None
 
 
+def _stage(rhs, t, y):
+    k = rhs(t, np.array(y))
+    return k if type(k) is tuple else np.asarray(k, dtype=float).tolist()
+
+
 def _dopri_update(rhs, t, y, k1, h):
     """The 5th-order solution of a Dormand-Prince step of size ``h`` from
     ``(t, y)``, ``k1 = rhs(t, y)``, and the stages k3 to k6 that the error
     estimate reuses: five ``rhs`` calls, each handed a fresh ndarray.
-    States and stages are lists of floats.
+    States are lists of floats; a stage is ``rhs``'s tuple, or else a copy.
     """
-
-    def f(tt, yy):
-        return np.asarray(rhs(tt, np.array(yy)), dtype=float).tolist()
-
-    k2 = f(t + _C2 * h, [a + h * (_A21 * p) for a, p in zip(y, k1)])
-    k3 = f(t + _C3 * h, [a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, k1, k2)])
-    k4 = f(
-        t + _C4 * h,
+    k2 = _stage(rhs, t + _C2 * h, [a + h * (_A21 * p) for a, p in zip(y, k1)])
+    k3 = _stage(rhs, t + _C3 * h, [a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, k1, k2)])
+    k4 = _stage(
+        rhs, t + _C4 * h,
         [a + h * (_A41 * p + _A42 * q + _A43 * r) for a, p, q, r in zip(y, k1, k2, k3)],
     )
-    k5 = f(
-        t + _C5 * h,
+    k5 = _stage(
+        rhs, t + _C5 * h,
         [
             a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * s)
             for a, p, q, r, s in zip(y, k1, k2, k3, k4)
         ],
     )
-    k6 = f(
-        t + h,
+    k6 = _stage(
+        rhs, t + h,
         [
             a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * s + _A65 * u)
             for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)
@@ -201,7 +204,7 @@ def _dopri_step(rhs, t, y, k1, h):
     """One Dormand-Prince step: the 5th-order solution (the state of the last
     stage), the last stage (the derivative there) and the error estimate."""
     y_new, k3, k4, k5, k6 = _dopri_update(rhs, t, y, k1, h)
-    k7 = np.asarray(rhs(t + h, np.array(y_new)), dtype=float).tolist()
+    k7 = _stage(rhs, t + h, y_new)
     err = [
         h * (_E1 * p + _E3 * r + _E4 * s + _E5 * u + _E6 * v + _E7 * w)
         for p, r, s, u, v, w in zip(k1, k3, k4, k5, k6, k7)
@@ -219,9 +222,9 @@ def _substep_evaluator(rhs, t0, y0, f0, t1, y1):
     of size ``t - t0`` keeps in-step states at the integrator's own order;
     the last (FSAL) stage serves only the error estimate, so is left out.
 
-    ``y0`` and ``f0 = rhs(t0, y0)`` may be ndarrays or lists of floats; the
-    evaluator returns a fresh ndarray.  :func:`integrate` builds one only on
-    a step across which some monitor changes sign.
+    ``y0`` and ``f0 = rhs(t0, y0)`` may be ndarrays, lists or tuples of
+    floats; the evaluator returns a fresh ndarray.  :func:`integrate` builds
+    one only on a step across which some monitor changes sign.
     """
     y0 = [float(v) for v in y0]
     f0 = [float(v) for v in f0]
@@ -314,7 +317,7 @@ def locate_sign_change(
 
 
 def integrate(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[float, np.ndarray], Sequence[float] | np.ndarray],
     initial: Sequence[float] | np.ndarray,
     config: IntegratorConfig,
     monitors: Iterable[Monitor] = (),

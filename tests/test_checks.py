@@ -38,7 +38,7 @@ def test_array_kernels_match_the_guarded_functions(n):
     x3 = (x1 * x2) ** (-(n - 1))
     space = make_pn(n)
     arrays = {
-        "phase": np.array(flows._phase_values(n, phi, psi)).T,
+        "phase": np.array(flows._phase_values(flows._pn(n), phi, psi)).T,
         "reduced": np.array(flows._reduced_values(n, x1, x2)).T,
         "full": np.array(flows._full_values(space, x1, x2, x3)).T,
         "ricci": np.array(spaces._phase_ricci_values(n, phi, psi)).T,

@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 import xml.dom.minidom
+from importlib.metadata import EntryPoint
+from pathlib import Path
 
 import pytest
 
@@ -519,7 +521,17 @@ class TestCheckCommand:
 
 
 class TestConsoleScript:
-    def test_installed_entry_point(self):
+    def test_installed_entry_point(self, capsys, monkeypatch):
+        # the [project.scripts] target, loaded and called as a console script calls it
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["gwflow"]
+        entry = EntryPoint(name="gwflow", value=target, group="console_scripts").load()
+        monkeypatch.setattr(sys, "argv", ["gwflow", "check", "--n-max", "2"])
+        assert entry() == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_module_runs_as_a_script(self):
         proc = subprocess.run(
             [sys.executable, "-m", "gwflow.cli", "check", "--n-max", "2"],
             capture_output=True,

@@ -1,12 +1,15 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwflow import (
+    SYSTEMS,
     Metric,
     PhasePoint,
     RangeExceededError,
     ReparamInvalidError,
+    field_reparam,
     from_phase,
     make_pn,
     rhs_full,
@@ -18,6 +21,7 @@ from gwflow import (
     submersion_fixed_points,
     x3_from_volume_one,
 )
+from gwflow import flows
 
 scales = st.floats(min_value=0.2, max_value=5.0)
 small_n = st.integers(min_value=2, max_value=6)
@@ -195,3 +199,72 @@ class TestFixedPoints:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             submersion_fixed_points(1)
+
+
+def _phase_formula(n, phi, psi):
+    # rhs_phase's formula with every constant written out in place
+    p2 = phi * phi - psi * psi
+    pow4 = 4.0 ** (n - 1)
+    q = (n + 2) * (2 * n - 1)
+    dphi = (
+        -2.0
+        + p2 ** (n - 2) / (pow4 * q) * (3 * phi ** 3 - (6 * n - 1) * phi * psi * psi)
+        + 4.0 ** n * n * phi / (2 * q * p2 ** n)
+        + (n - 1) / (2 * n - 1) * (4 * phi * phi / p2)
+    )
+    bracket = (
+        p2 ** (n - 2) / (pow4 * q) * ((-4 * n + 5) * phi * phi - (2 * n + 1) * psi * psi)
+        + 4.0 ** n * n / (2 * q * p2 ** n)
+        + (n - 1) / (2 * n - 1) * (4 * phi / p2)
+    )
+    return dphi, psi * bracket
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+cone_points = st.lists(
+    st.tuples(st.floats(min_value=0.3, max_value=20.0), st.floats(min_value=-0.95, max_value=0.95)),
+    min_size=1,
+    max_size=20,
+)
+
+
+class TestPerNConstants:
+    @given(n=st.integers(min_value=2, max_value=12), points=cone_points)
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_matches_the_formula_bit_for_bit(self, n, points):
+        phi = np.array([p for p, _ in points])
+        psi = phi * np.array([u for _, u in points])
+        c = flows._pn(n)
+        assert bits(flows._phase_values(c, phi, psi)) == bits(_phase_formula(n, phi, psi))
+        for p, s in zip(phi.tolist(), psi.tolist()):
+            assert bits(flows._phase_values(c, p, s)) == bits(_phase_formula(n, p, s))
+
+    @pytest.mark.parametrize("bad", [2.0, True])
+    def test_non_integer_n_refused_after_a_call_with_2(self, bad):
+        y = np.array([4.0, -1e-3])
+        calls = [
+            lambda n: rhs_phase(n, 2.5, 0.1),
+            lambda n: rhs_reduced_x(n, 1.2, 0.8),
+            lambda n: rhs_submersion(n, 2.5),
+            lambda n: rhs_reparam(n, 4.0, -1e-3),
+            lambda n: field_reparam(n)(0.0, y),
+        ]
+        for call in calls:
+            call(2)
+            with pytest.raises(ValueError, match="n must be an integer"):
+                call(bad)
+
+
+class TestVectorFields:
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_field_returns_a_tuple_of_floats(self, name):
+        n, phi, psi = 3, 2.5, -0.3
+        x1, x2 = 0.5 * (phi + psi), 0.5 * (phi - psi)
+        values = {"x1": x1, "x2": x2, "x3": x3_from_volume_one(n, x1, x2), "phi": phi, "psi": psi}
+        system = SYSTEMS[name]
+        out = system.field(n)(0.0, np.array([values[k] for k in system.state]))
+        assert type(out) is tuple and len(out) == len(system.state)
+        assert all(type(v) is float for v in out)

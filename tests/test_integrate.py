@@ -452,3 +452,41 @@ class TestFloatKernel:
         run_theorem_experiment(ExperimentConfig(n=n, epsilon=epsilon, t_max=1e6))
         (traj,) = runs
         assert len(traj) - 1 == steps
+
+
+def _result_forms(field):
+    """``field`` wrapped to return its result as a tuple, a list, a fresh
+    ndarray, one reused ndarray buffer and one reused list buffer."""
+    array_buf, list_buf = np.empty(2), [0.0, 0.0]
+
+    def reused_ndarray(t, y):
+        array_buf[:] = field(t, y)
+        return array_buf
+
+    def reused_list(t, y):
+        list_buf[:] = field(t, y)
+        return list_buf
+
+    return {
+        "tuple": lambda t, y: tuple(field(t, y)),
+        "list": lambda t, y: list(field(t, y)),
+        "fresh ndarray": lambda t, y: np.array(field(t, y)),
+        "reused ndarray": reused_ndarray,
+        "reused list": reused_list,
+    }
+
+
+class TestResultForms:
+    @pytest.mark.parametrize("form", list(_result_forms(None)))
+    def test_every_result_form_gives_the_same_run(self, form):
+        field = field_reparam(2)
+        r1 = Monitor("r1", lambda t, y: _phase_ricci_values(2, y[0], y[1])[0])
+        cfg = IntegratorConfig(t_max=1e6)
+        ref = integrate(field, [4.0, -1e-3], cfg, [r1])
+        run = integrate(_result_forms(field)[form], [4.0, -1e-3], cfg, [r1])
+        assert len(ref.events) == 1
+        assert run.t.tobytes() == ref.t.tobytes()
+        assert run.y.tobytes() == ref.y.tobytes()
+        assert [(ev.t, ev.state.tobytes()) for ev in run.events] == [
+            (ev.t, ev.state.tobytes()) for ev in ref.events
+        ]
