@@ -7,6 +7,11 @@ Subcommands:
 * ``portrait``   -- render an SVG phase portrait of the slice system
 * ``check``      -- run the cross-formulation invariant checks
 
+Each command's options are declared once, in ``_COMMANDS``: the parser's
+flags, the config-file keys, their types and defaults, and the required
+options all come from it.  An option's value is its flag's, else the
+``--config`` file's entry, else the default.
+
 Exit codes: 0 success, 1 bad arguments (or an experiment whose final
 negative-eigenvalue count differs from ``d1 = 4(n-1)``, the multiplicity of
 the r1 block -- for example when ``--t-max`` ends the run before r1 turns
@@ -20,6 +25,7 @@ import dataclasses
 import functools
 import inspect
 import json
+import string
 import sys
 from typing import Iterable
 
@@ -41,9 +47,6 @@ from .spaces import (
 
 CSV_HEADER = "t,x1,x2,x3,phi,psi,r1,r2,r3,S,V,neg_count"
 
-# the state flags of all systems, in first-use order (x1, x2, x3, phi, psi)
-_STATE_FLAGS = tuple(dict.fromkeys(k for s in SYSTEMS.values() for k in s.state))
-
 _ERROR_TERMINATIONS = (
     Termination.STEP_UNDERFLOW,
     Termination.NON_FINITE,
@@ -56,10 +59,62 @@ def _param_default(fn, name: str):
     return inspect.signature(fn).parameters[name].default
 
 
-# portrait and check defaults, read off the library functions they call
-_GRID = _param_default(render_portrait, "grid")
 _TRAJ_T_MAX = _param_default(render_portrait, "traj_t_max")
-_N_MAX = _param_default(checks_mod.run_invariant_checks, "n_max")
+
+_REQUIRED = object()  # the default of an option the command cannot run without
+
+
+def _options(cls) -> dict:
+    """``{field: (type, default)}`` for a config dataclass: ``int`` fields
+    take integers, the rest (``float | None`` too) floats; a field with no
+    default is required."""
+    return {
+        f.name: (
+            int if f.type in (int, "int") else float,
+            _REQUIRED if f.default is dataclasses.MISSING else f.default,
+        )
+        for f in dataclasses.fields(cls)
+    }
+
+
+# {command: {option: (type, default[, argparse keywords])}}, the only
+# declaration of each option: one flag each (a ``list`` option repeats), and
+# the config-file keys, their types and their defaults
+_COMMANDS = {
+    "flow": {
+        "n": (int, _REQUIRED),
+        "system": (str, _REQUIRED, {"choices": list(SYSTEMS)}),
+        # the state of every system, in first-use order (x1, x2, x3, phi, psi)
+        **dict.fromkeys((k for s in SYSTEMS.values() for k in s.state), (float, None)),
+        **_options(IntegratorConfig),
+        "t_max": (float, 10.0),
+    },
+    "experiment": _options(ExperimentConfig),
+    "portrait": {
+        "n": (int, _REQUIRED),
+        "phi_range": (str, _REQUIRED, {"metavar": "LO:HI"}),
+        "psi_range": (str, _REQUIRED, {"metavar": "LO:HI"}),
+        "grid": (str, "x".join(map(str, _param_default(render_portrait, "grid"))),
+                 {"metavar": "NXxNY"}),
+        "start": (list, None, {"metavar": "PHI,PSI", "help": "overlay the trajectory from this"
+                               " point until it leaves the window (repeatable)"}),
+        "traj_t_max": (float, _TRAJ_T_MAX,
+                       {"help": f"cap on each overlay's flow time (default {_TRAJ_T_MAX:g})"}),
+    },
+    "check": {"n_max": (int, _param_default(checks_mod.run_invariant_checks, "n_max"))},
+}
+
+# each command's one-line help, and what its --output file holds (None: no file)
+_ABOUT = {
+    "flow": ("integrate a system and write a CSV trajectory", "CSV"),
+    "experiment": ("run the long-time experiment", "JSON"),
+    "portrait": ("render an SVG phase portrait", "SVG"),
+    "check": ("run the invariant checks", None),
+}
+
+
+def _flag(option: str) -> str:
+    return "--" + option.replace("_", "-")
 
 
 class _UsageError(Exception):
@@ -77,65 +132,16 @@ def _build_parser() -> _Parser:
     # built once per process; every parse starts from a fresh namespace
     parser = _Parser(prog="gwflow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    flow = sub.add_parser("flow", help="integrate a system and write a CSV trajectory")
-    flow.add_argument("--n", type=int, default=None)
-    flow.add_argument("--system", choices=list(SYSTEMS), default=None)
-    for name in _STATE_FLAGS:
-        flow.add_argument(f"--{name}", type=float, default=None)
-    _add_config_args(flow, IntegratorConfig)
-    flow.add_argument("--config", default=None, help="JSON file with defaults for these flags")
-    flow.add_argument("--output", "-o", default=None, help="CSV path (default: stdout)")
-
-    exp = sub.add_parser("experiment", help="run the long-time experiment")
-    _add_config_args(exp, ExperimentConfig)
-    exp.add_argument("--config", default=None)
-    exp.add_argument("--output", "-o", default=None, help="JSON path (default: stdout)")
-
-    por = sub.add_parser("portrait", help="render an SVG phase portrait")
-    por.add_argument("--n", type=int, default=None)
-    por.add_argument("--phi-range", default=None, metavar="LO:HI")
-    por.add_argument("--psi-range", default=None, metavar="LO:HI")
-    por.add_argument("--grid", default=None, metavar="NXxNY")
-    por.add_argument(
-        "--start",
-        action="append",
-        default=None,
-        metavar="PHI,PSI",
-        help="overlay the trajectory from this point until it leaves the window (repeatable)",
-    )
-    por.add_argument(
-        "--traj-t-max",
-        type=float,
-        default=None,
-        help=f"cap on each overlay's flow time (default {_TRAJ_T_MAX:g})",
-    )
-    por.add_argument("--config", default=None)
-    por.add_argument("--output", "-o", default=None, help="SVG path (default: stdout)")
-
-    chk = sub.add_parser("check", help="run the invariant checks")
-    chk.add_argument("--n-max", type=int, default=None)
-    chk.add_argument("--config", default=None)
+    for command, options in _COMMANDS.items():
+        about, writes = _ABOUT[command]
+        p = sub.add_parser(command, help=about)
+        for option, (kind, _, *keywords) in options.items():
+            how = {"action": "append"} if kind is list else {"type": kind}
+            p.add_argument(_flag(option), default=None, **how, **dict(*keywords))
+        p.add_argument("--config", default=None, help="JSON file with defaults for these flags")
+        if writes:
+            p.add_argument("--output", "-o", default=None, help=f"{writes} path (default: stdout)")
     return parser
-
-
-def _options(cls) -> dict:
-    """``{field: (type, default)}`` for a config dataclass: ``int`` fields
-    take integers, the rest (``float | None`` too) floats; the default is
-    ``None`` where the field has none."""
-    return {
-        f.name: (
-            int if f.type in (int, "int") else float,
-            None if f.default is dataclasses.MISSING else f.default,
-        )
-        for f in dataclasses.fields(cls)
-    }
-
-
-def _add_config_args(p: argparse.ArgumentParser, cls) -> None:
-    """One flag per field of a config dataclass, typed as :func:`_options` says."""
-    for name, (kind, _) in _options(cls).items():
-        p.add_argument(f"--{name.replace('_', '-')}", type=kind, default=None)
 
 
 # what a config-file value must be, by its option's type; ``list`` is a
@@ -153,13 +159,14 @@ def _is_kind(value, kind) -> bool:
 def _merge_config(args: argparse.Namespace, options: dict) -> dict:
     """Resolve option values: explicit flag > config file entry > default.
 
-    ``options`` maps each key to its ``(type, default)``.  A config-file value
-    of another type is a usage error; ``null`` keeps the default.  A float
-    option's value is read with ``float()``, as its flag is, so a JSON ``4``
-    and ``--flag 4`` give the same run and the same report.
+    ``options`` is a command's entry of :data:`_COMMANDS`.  A config-file
+    value of another type is a usage error; ``null`` keeps the default.  A
+    float option's value is read with ``float()``, as its flag is, so a JSON
+    ``4`` and ``--flag 4`` give the same run and the same report.  Every
+    required option left without a value is named in one usage error.
     """
-    merged = {key: default for key, (_, default) in options.items()}
-    if getattr(args, "config", None):
+    merged = {key: default for key, (_, default, *_) in options.items()}
+    if args.config:
         try:
             with open(args.config) as fh:
                 file_values = json.load(fh)
@@ -186,10 +193,11 @@ def _merge_config(args: argparse.Namespace, options: dict) -> dict:
                         f"config key {key!r} in {args.config} is an integer too large for a float"
                     )
             merged[key] = value
-    for key in options:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            merged[key] = cli_value
+    flags = vars(args)
+    merged.update({key: flags[key] for key in options if flags[key] is not None})
+    missing = [_flag(key) for key, value in merged.items() if value is _REQUIRED]
+    if missing:
+        raise _UsageError(f"{args.command} requires {', '.join(missing)}")
     return merged
 
 
@@ -233,46 +241,32 @@ def _csv_lines(system: str, n: int, traj: Trajectory) -> Iterable[str]:
         yield ",".join(cells)
 
 
-_FLOW_OPTIONS = {
-    "n": (int, None),
-    "system": (str, None),
-    **dict.fromkeys(_STATE_FLAGS, (float, None)),
-    **_options(IntegratorConfig),
-    "t_max": (float, 10.0),
-}
-
-
-def cmd_flow(args: argparse.Namespace) -> int:
-    opts = _merge_config(args, _FLOW_OPTIONS)
+def cmd_flow(opts: dict, output: str | None) -> int:
     n, system = opts["n"], opts["system"]
-    if n is None or system is None:
-        raise _UsageError("flow requires --n and --system")
     if n < 2:
         raise _UsageError(f"--n must be an integer >= 2, got {n}")
     if system not in SYSTEMS:
         raise _UsageError(f"unknown system {system!r}")
     state = SYSTEMS[system].state
-    missing = [f"--{k}" for k in state if opts[k] is None]
+    missing = [_flag(k) for k in state if opts[k] is None]
     if missing:
         raise _UsageError(f"system {system!r} requires {', '.join(missing)}")
 
     try:
         config = IntegratorConfig(**{k: opts[k] for k in _options(IntegratorConfig)})
+        field = SYSTEMS[system].field(n)
     except ValueError as exc:
         raise _UsageError(str(exc))
     try:
-        traj = integrate(SYSTEMS[system].field(n), [opts[k] for k in state], config)
+        traj = integrate(field, [opts[k] for k in state], config)
     except (ValueError, RangeExceededError) as exc:
         raise _UsageError(f"invalid initial state: {exc}")
 
-    _write_text(getattr(args, "output", None), "\n".join(_csv_lines(system, n, traj)) + "\n")
+    _write_text(output, "\n".join(_csv_lines(system, n, traj)) + "\n")
     return 0 if traj.termination in (Termination.REACHED_TMAX, Termination.EVENT_STOP) else 2
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
-    opts = _merge_config(args, _options(ExperimentConfig))
-    if opts["n"] is None:
-        raise _UsageError("experiment requires --n")
+def cmd_experiment(opts: dict, output: str | None) -> int:
     try:
         cfg = ExperimentConfig(**opts)
     except ValueError as exc:
@@ -284,70 +278,39 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         print(f"gwflow experiment: {exc}", file=sys.stderr)
         return 3
 
-    _write_text(
-        getattr(args, "output", None),
-        json.dumps(report.to_json_dict(), indent=2) + "\n",
-    )
+    _write_text(output, json.dumps(report.to_json_dict(), indent=2) + "\n")
     if report.termination in _ERROR_TERMINATIONS:
         return 2
     return 0 if report.final_negative_count == report.expected_negative_count else 1
 
 
-_PORTRAIT_OPTIONS = {
-    "n": (int, None),
-    "phi_range": (str, None),
-    "psi_range": (str, None),
-    "grid": (str, "x".join(map(str, _GRID))),
-    "start": (list, None),
-    "traj_t_max": (float, _TRAJ_T_MAX),
-}
-
-
-def _parse_range(text: str, name: str) -> tuple[float, float]:
+def _pair(option: str, text: str, kind=float) -> tuple:
+    # a two-part portrait value, split where its metavar (LO:HI, NXxNY, PHI,PSI) is not upper case
+    form = _COMMANDS["portrait"][option][2]["metavar"]
     try:
-        lo, hi = (float(part) for part in text.split(":"))
+        first, second = map(kind, text.lower().split(form.strip(string.ascii_uppercase)))
     except ValueError:
-        raise _UsageError(f"{name} must look like LO:HI, got {text!r}")
-    return lo, hi
+        raise _UsageError(f"{_flag(option)} must look like {form}, got {text!r}")
+    return first, second
 
 
-def cmd_portrait(args: argparse.Namespace) -> int:
-    opts = _merge_config(args, _PORTRAIT_OPTIONS)
-    if opts["n"] is None or opts["phi_range"] is None or opts["psi_range"] is None:
-        raise _UsageError("portrait requires --n, --phi-range and --psi-range")
-    if opts["n"] < 2:
-        raise _UsageError(f"--n must be an integer >= 2, got {opts['n']}")
-    phi_range = _parse_range(opts["phi_range"], "--phi-range")
-    psi_range = _parse_range(opts["psi_range"], "--psi-range")
-    try:
-        nx, ny = (int(part) for part in opts["grid"].lower().split("x"))
-    except ValueError:
-        raise _UsageError(f"--grid must look like NXxNY, got {opts['grid']!r}")
-    starts = []
-    for item in opts["start"] or ():
-        try:
-            phi0, psi0 = (float(part) for part in item.split(","))
-        except ValueError:
-            raise _UsageError(f"--start must look like PHI,PSI, got {item!r}")
-        starts.append((phi0, psi0))
-
+def cmd_portrait(opts: dict, output: str | None) -> int:
     try:
         svg = render_portrait(
             opts["n"],
-            phi_range,
-            psi_range,
-            grid=(nx, ny),
-            starts=tuple(starts),
+            _pair("phi_range", opts["phi_range"]),
+            _pair("psi_range", opts["psi_range"]),
+            grid=_pair("grid", opts["grid"], int),
+            starts=tuple(_pair("start", item) for item in opts["start"] or ()),
             traj_t_max=opts["traj_t_max"],
         )
     except ValueError as exc:
         raise _UsageError(str(exc))
-    _write_text(getattr(args, "output", None), svg)
+    _write_text(output, svg)
     return 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    opts = _merge_config(args, {"n_max": (int, _N_MAX)})
+def cmd_check(opts: dict, output: str | None) -> int:
     n_max = opts["n_max"]
     if n_max < 2:
         raise _UsageError(f"--n-max must be an integer >= 2, got {n_max}")
@@ -393,13 +356,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = _merge_negative_values(list(argv))
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "flow": cmd_flow,
-            "experiment": cmd_experiment,
-            "portrait": cmd_portrait,
-            "check": cmd_check,
-        }[args.command]
-        return handler(args)
+        opts = _merge_config(args, _COMMANDS[args.command])
+        # looked up per call, so a replaced module attribute cmd_* is the one run
+        return globals()[f"cmd_{args.command}"](opts, getattr(args, "output", None))
     except _UsageError as exc:
         print(f"gwflow: error: {exc}", file=sys.stderr)
         return 1

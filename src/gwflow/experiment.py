@@ -27,7 +27,6 @@ from .spaces import (
     GWSpace,
     RicciSpectrum,
     _phase_ricci_values,
-    _require_n,
     make_pn,
     negative_count,
     smallest_k_positive,
@@ -74,7 +73,7 @@ class ExperimentConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        _require_n(self.n)
+        flows._pn(self.n)  # n >= 2, and small enough for float constants
         for name in ("N", "epsilon", "psi_phi_threshold", "r1_phi_threshold"):
             v = getattr(self, name)
             if v is not None and not math.isfinite(v):

@@ -30,7 +30,8 @@ kernel call: the guards reject inadmissible states with
 :class:`RangeExceededError` instead of returning infinities; long runs
 deliberately drive ``phi`` to infinity and integration must stop cleanly.
 The phase guard and kernel read their bounds and constants from a record
-built, and ``n`` validated, once per ``n`` (``_pn``).
+built, and ``n`` validated, once per ``n`` (``_pn``); an ``n`` whose
+constants overflow a float (``n >= 504``) is refused with :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -103,7 +104,13 @@ _Pn = namedtuple("_Pn", "n lo hi pow4q c4 q2 r k6 k4 k2")  # n, guard bounds, co
 def _pn(n: int) -> _Pn:
     _require_n(n)
     q = (n + 2) * (2 * n - 1)  # each constant in the formula's own order: same bits
-    return _Pn(n, *_phase_bounds(n), 4.0 ** (n - 1) * q, 4.0 ** n * n, 2 * q,
+    try:
+        pow4q = 4.0 ** (n - 1) * q  # the largest constant: c4 = 4.0 ** n * n is smaller
+    except OverflowError:  # 4.0 ** (n - 1) itself, from n = 513
+        pow4q = math.inf
+    if pow4q == math.inf:
+        raise ValueError(f"n={n} is too large: the constants of P_n overflow a float")
+    return _Pn(n, *_phase_bounds(n), pow4q, 4.0 ** n * n, 2 * q,
                (n - 1) / (2 * n - 1), 6 * n - 1, -4 * n + 5, 2 * n + 1)
 
 
@@ -136,7 +143,8 @@ def rhs_reduced_x(n: int, x1: float, x2: float) -> tuple[float, float]:
     if not (x1 > 0 and x2 > 0):
         raise InadmissibleStateError(f"x1, x2 must be positive, got ({x1}, {x2})")
     lo, hi = _phase_bounds(n)
-    if max(x1, x2) ** 2 > hi or x1 * x2 < lo:
+    # squares by product: a float ** raises OverflowError where * gives inf
+    if x1 * x1 > hi or x2 * x2 > hi or x1 * x2 < lo:
         raise RangeExceededError(f"powers of ({x1}, {x2}) outside guarded range")
     return _reduced_values(n, x1, x2)
 
@@ -284,6 +292,7 @@ def field_reparam(n: int) -> Field:
 
 def field_submersion(n: int) -> Field:
     """Vector field for :func:`rhs_submersion` (state ``[phi]``), returning ``(phi',)``."""
+    _pn(n)  # refuses n before the run, as field_phase does
 
     def f(t: float, y: np.ndarray) -> tuple[float]:
         (phi,) = y.tolist()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .flows import RangeExceededError, field_phase, rhs_phase
+from .flows import RangeExceededError, _pn, field_phase, rhs_phase
 from .integrate import IntegratorConfig, Monitor, integrate
 
 __all__ = ["render_portrait"]
@@ -44,8 +44,11 @@ def render_portrait(
     outside the window or the cone draws nothing, and neither does a start
     on the window's edge whose flow does not point into the window.  A
     non-finite window bound or start, or a ``traj_t_max`` that is not
-    positive and finite, is refused with :class:`ValueError`.
+    positive and finite, is refused with :class:`ValueError`, and so is an
+    ``n`` that :func:`rhs_phase` refuses.  A grid point where the field is
+    not finite draws nothing.
     """
+    _pn(n)
     phi_min, phi_max = phi_range
     psi_min, psi_max = psi_range
     if not all(map(math.isfinite, (*phi_range, *psi_range))):
@@ -120,12 +123,17 @@ def render_portrait(
             except (RangeExceededError, ValueError):
                 continue
             cx, cy = to_px(phi, psi)
-            ux, uy = dphi * sx, -dpsi * sy
-            speed = math.hypot(ux, uy)
             if math.hypot(dphi, dpsi) < _FIXED_POINT_SPEED:
                 markers.append(
                     f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3.5" fill="#cc3300"/>'
                 )
+                continue
+            # scaled by a power of two, which is exact: the pixel vector
+            # cannot overflow, and its direction keeps every bit
+            _, e = math.frexp(max(abs(dphi), abs(dpsi)))
+            ux, uy = math.ldexp(dphi, -e) * sx, -math.ldexp(dpsi, -e) * sy
+            speed = math.hypot(ux, uy)
+            if not math.isfinite(speed):  # the field itself is not finite here
                 continue
             ux, uy = ux / speed, uy / speed
             half = _ARROW_LEN / 2.0

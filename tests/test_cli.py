@@ -177,6 +177,11 @@ PORTRAIT = ("portrait", "--n", "2", "--phi-range", "1:3", "--psi-range", "-1:1")
         ((*PORTRAIT, "--start", "nan,0.5"), 1, "start (nan, 0.5) must be finite"),
         ((*PORTRAIT, "--start", "2,inf"), 1, "start (2.0, inf) must be finite"),
         ((*PORTRAIT, "--traj-t-max", "inf"), 1, "traj_t_max must be positive and finite"),
+        # every missing required option is named in one error
+        (("flow", "--phi", "2"), 1, "flow requires --n, --system"),
+        (("portrait", "--n", "2"), 1, "portrait requires --phi-range, --psi-range"),
+        (("portrait", "--n", "1", "--phi-range", "1:3", "--psi-range", "-1:1"), 1,
+         "n must be an integer >= 2, got 1"),
     ],
 )
 def test_bad_input_gets_a_reason(capsys, argv, code, reason):
@@ -187,6 +192,33 @@ def test_bad_input_gets_a_reason(capsys, argv, code, reason):
     assert err.startswith("gwflow")
     assert reason in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [300, 505, 509, 512, 600])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("flow", "--system", "phase", "--phi", "2", "--psi", "-0.1"),
+        ("flow", "--system", "reparam", "--phi", "2", "--psi", "-0.1"),
+        ("flow", "--system", "submersion", "--phi", "2"),
+        ("flow", "--system", "reduced", "--x1", "0.7", "--x2", "0.6"),
+        ("flow", "--system", "full", "--x1", "0.7", "--x2", "0.6", "--x3", "1"),
+        ("portrait", "--phi-range", "1:3", "--psi-range", "-1:1"),
+        ("experiment",),
+    ],
+    ids=["phase", "reparam", "submersion", "reduced", "full", "portrait", "experiment"],
+)
+def test_large_n_gets_an_answer_or_a_reason(capsys, tmp_path, argv, n):
+    # no traceback: an exception escaping main fails the test
+    out_path = tmp_path / "out"
+    code, _, err = run_cli(capsys, *argv, "--n", str(n), "--output", str(out_path))
+    if code in (0, 2):  # 2: a flow run that ended at the range guard
+        assert code == 0 or argv[0] == "flow"
+        text = out_path.read_text().lower()
+        assert text and "nan" not in text and "inf" not in text
+    else:
+        assert code in (1, 3) and str(n) in err
+        assert not out_path.exists()
 
 
 class TestConfigFileValueTypes:
@@ -244,12 +276,12 @@ class TestConfigFileValueTypes:
         cfg.write_text(json.dumps({"t_max": None, "rel_tol": None}))
         code, out, err = run_cli(capsys, *PHASE_FLOW, "--max-step", "1", "--config", str(cfg))
         assert (code, err) == (0, "")
-        assert float(parse_csv(out)[1][-1]["t"]) == cli._FLOW_OPTIONS["t_max"][1]
+        assert float(parse_csv(out)[1][-1]["t"]) == cli._COMMANDS["flow"]["t_max"][1]
 
 
-def _flow_option(dest):
+def _subparser(command):
     sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a for a in sub.choices["flow"]._actions if a.dest == dest)
+    return sub.choices[command]
 
 
 def _field_values(cls, **overrides):
@@ -259,8 +291,9 @@ def _field_values(cls, **overrides):
 
 
 def _set_option(tmp_path, name, value, how):
-    if how == "flag":
-        return [f"--{name.replace('_', '-')}", str(value)]
+    if how == "flag":  # a list option repeats its flag
+        return [a for v in (value if isinstance(value, list) else [value])
+                for a in (f"--{name.replace('_', '-')}", str(v))]
     path = tmp_path / "opts.json"
     path.write_text(json.dumps({name: value}))
     return ["--config", str(path)]
@@ -269,11 +302,55 @@ def _set_option(tmp_path, name, value, how):
 START = {"x1": 1.1, "x2": 0.9, "x3": 1.3, "phi": 2.5, "psi": -0.2}
 INTEGRATOR_VALUES = _field_values(IntegratorConfig, t_max=0.5, max_step=1.0)
 EXPERIMENT_VALUES = _field_values(ExperimentConfig, n=2, N=4.0, t_max=1e6)
+# a value for every option of every command
+OPTION_VALUES = {
+    "flow": {"n": 2, "system": "phase", "phi": 2.0, "psi": 0.0,
+             "x1": 1.1, "x2": 0.9, "x3": 1.3, **INTEGRATOR_VALUES},
+    "experiment": EXPERIMENT_VALUES,
+    "portrait": {"n": 2, "phi_range": "1:3", "psi_range": "-1:1",
+                 "grid": "6x4", "start": ["2,0.2", "2.5,-0.1"], "traj_t_max": 1.0},
+    "check": {"n_max": 2},
+}
+# the options every run of a command is given, unless that option is the one tested
+BASE_OPTIONS = {
+    "flow": ("n", "system", "phi", "psi"),
+    "experiment": ("n",),
+    "portrait": ("n", "phi_range", "psi_range"),
+    "check": (),
+}
+
+
+def _run_with_option(capsys, monkeypatch, tmp_path, command, name, how):
+    """Run ``command`` with option ``name`` set by flag or config file, and
+    check that its handler gets the option's value from either."""
+    seen = []
+    handler = getattr(cli, f"cmd_{command}")
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda opts, out: seen.append(opts) or handler(opts, out))
+    values = OPTION_VALUES[command]
+    argv = [command]
+    for key in BASE_OPTIONS[command]:
+        if key != name:
+            argv += _set_option(tmp_path, key, values[key], "flag")
+    argv += _set_option(tmp_path, name, values[name], how)
+    result = run_cli(capsys, *argv)
+    (opts,) = seen
+    assert (type(opts[name]), opts[name]) == (type(values[name]), values[name])
+    return result
 
 
 class TestSystemRegistry:
     def test_system_choices(self):
-        assert _flow_option("system").choices == list(SYSTEMS)
+        system = next(a for a in _subparser("flow")._actions if a.dest == "system")
+        assert system.choices == list(SYSTEMS)
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_flags_are_the_table_options(self, command):
+        flags = {s for a in _subparser(command)._actions for s in a.option_strings}
+        expected = {f"--{name.replace('_', '-')}" for name in cli._COMMANDS[command]}
+        expected |= {"-h", "--help", "--config"}
+        if command != "check":  # the commands that write a file
+            expected |= {"--output", "-o"}
+        assert flags == expected
 
     @pytest.mark.parametrize("system", list(SYSTEMS))
     def test_missing_last_state_flag_is_named(self, capsys, system):
@@ -298,21 +375,28 @@ class TestSystemRegistry:
         }
 
     @pytest.mark.parametrize("how", ["flag", "config"])
-    @pytest.mark.parametrize("name", list(INTEGRATOR_VALUES))
-    def test_flow_accepts_integrator_field(self, capsys, tmp_path, name, how):
-        argv = ["flow", "--n", "2", "--system", "phase", "--phi", "2", "--psi", "0"]
-        argv += _set_option(tmp_path, name, INTEGRATOR_VALUES[name], how)
-        code, _, err = run_cli(capsys, *argv)
+    @pytest.mark.parametrize("name", list(OPTION_VALUES["flow"]))
+    def test_flow_accepts_integrator_field(self, capsys, monkeypatch, tmp_path, name, how):
+        code, _, err = _run_with_option(capsys, monkeypatch, tmp_path, "flow", name, how)
         assert (code, err) == (0, "")
 
+    # the experiment's fields, then the portrait and check options
     @pytest.mark.parametrize("how", ["flag", "config"])
-    @pytest.mark.parametrize("name", list(EXPERIMENT_VALUES))
-    def test_experiment_accepts_experiment_field(self, capsys, tmp_path, name, how):
-        argv = ["experiment"] + ([] if name == "n" else ["--n", "2"])
-        argv += _set_option(tmp_path, name, EXPERIMENT_VALUES[name], how)
-        code, out, err = run_cli(capsys, *argv)
+    @pytest.mark.parametrize(
+        "command,name",
+        [
+            pytest.param(command, name, id=name if command == "experiment" else f"{command}-{name}")
+            for command in ("experiment", "portrait", "check")
+            for name in OPTION_VALUES[command]
+        ],
+    )
+    def test_experiment_accepts_experiment_field(
+        self, capsys, monkeypatch, tmp_path, command, name, how
+    ):
+        code, out, err = _run_with_option(capsys, monkeypatch, tmp_path, command, name, how)
         assert (code, err) == (0, "")
-        assert json.loads(out)["n"] == 2
+        if command == "experiment":
+            assert json.loads(out)["n"] == 2
 
 
 class TestExperimentCommand:

@@ -43,6 +43,8 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(n=1)
+        with pytest.raises(ValueError, match="n=512 is too large"):
+            ExperimentConfig(n=512)
         with pytest.raises(ValueError):
             ExperimentConfig(n=2, epsilon=-1e-3)
         with pytest.raises(ValueError):

@@ -81,6 +81,8 @@ class TestReducedSystem:
     def test_guard(self):
         with pytest.raises(RangeExceededError):
             rhs_reduced_x(2, 1e80, 1e80)
+        with pytest.raises(RangeExceededError):  # x1**2 overflows: a float ** would raise
+            rhs_reduced_x(505, 1e200, 1.0)
 
 
 class TestPhaseSystem:
@@ -256,6 +258,23 @@ class TestPerNConstants:
             call(2)
             with pytest.raises(ValueError, match="n must be an integer"):
                 call(bad)
+
+
+    @pytest.mark.parametrize("n", [504, 509, 512, 600])
+    def test_n_whose_constants_overflow_is_refused(self, n):
+        # 4**(n-1) (n+2)(2n-1) is inf from n = 504, and 4.0**(n-1) raises from n = 513
+        calls = [
+            lambda: rhs_phase(n, 2.5, 0.1),
+            lambda: rhs_submersion(n, 2.5),
+            lambda: rhs_reparam(n, 4.0, -1e-3),
+            lambda: SYSTEMS["submersion"].field(n),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"n={n} is too large"):
+                call()
+
+    def test_largest_n_has_finite_constants(self):
+        assert all(map(np.isfinite, flows._pn(503)))
 
 
 class TestVectorFields:

@@ -1,9 +1,13 @@
 """Trajectory overlays in ``render_portrait`` end where they leave the window."""
 
+import contextlib
+import itertools
+import math
+
 import pytest
 
 from gwflow import portrait
-from gwflow.flows import field_phase
+from gwflow.flows import RangeExceededError, field_phase, rhs_phase
 from gwflow.integrate import IntegratorConfig, Termination, integrate
 
 PHI_RANGE = (0.0, 4.0)
@@ -83,3 +87,28 @@ def test_start_on_the_edge_entering_the_window_is_drawn(recorded):
     assert traj.termination is Termination.EVENT_STOP
     assert len(traj.t) - 1 <= 100
     assert svg.count("<polyline") == 1
+
+
+@pytest.mark.parametrize("n", [1, 2.0, 505])
+def test_n_is_refused_as_rhs_phase_refuses_it(n):
+    # n = 1 used to render a portrait with no arrows
+    with pytest.raises(ValueError, match=str(n)):
+        portrait.render_portrait(n, PHI_RANGE, PSI_RANGE)
+
+
+def test_a_huge_finite_field_still_gets_its_arrow():
+    # at n = 277 the field at (8/7, -1) is finite, about 1.5e306, but its pixel
+    # vector overflowed and the arrow was drawn with nan coordinates
+    n, window = 277, ((1.0, 3.0), (-1.0, 1.0))
+    dphi, _ = rhs_phase(n, 8 / 7, -1.0)
+    assert math.isfinite(dphi) and math.isinf(dphi * 360.0)
+    svg = portrait.render_portrait(n, *window)
+    arrows = svg.split('<g id="vectors">')[1].split("</g>")[0]
+    assert "nan" not in arrows
+    drawn = 0
+    grid = itertools.product([1.0 + i * 2.0 / 14 for i in range(15)], [-1.0 + j * 2.0 / 8 for j in range(9)])
+    for phi, psi in grid:
+        if phi - abs(psi) > 1e-9:
+            with contextlib.suppress(ValueError, RangeExceededError):
+                drawn += all(map(math.isfinite, rhs_phase(n, phi, psi)))
+    assert arrows.count("<line") == drawn
