@@ -12,8 +12,8 @@ at once, as float64 arrays, through the unguarded kernels
 ``flows._full_values``, ``flows._reduced_values``, ``flows._phase_values``)
 that the guarded ``ricci_*`` and ``rhs_*`` functions call; they look them up
 through their modules at call time.  A check that cannot evaluate its grid or
-run (a numpy floating-point error, an overflow, a range guard) fails and
-names the reason.
+run (a numpy floating-point error, an overflow, a range guard, an ``n``
+whose constants overflow) fails and names the reason.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ def _check(name: str):
     """Make a per-``n`` check from ``fn(n) -> (passed, detail)``.
 
     Runs ``fn`` with numpy floating-point errors raised; any arithmetic
-    error becomes a FAIL that names it.
+    error, and any ``ValueError`` (an ``n`` the formulas refuse, an
+    inadmissible start), becomes a FAIL that names it.
     """
 
     def decorate(fn):
@@ -61,7 +62,7 @@ def _check(name: str):
             try:
                 with np.errstate(over="raise", divide="raise", invalid="raise"):
                     passed, detail = fn(n)
-            except ArithmeticError as exc:
+            except (ArithmeticError, ValueError) as exc:
                 return CheckResult(name, n, False, f"cannot evaluate: {type(exc).__name__}: {exc}")
             return CheckResult(name, n, bool(passed), detail)
 

@@ -27,7 +27,9 @@ evaluates a whole grid through them.  Each ``rhs_*`` is its guard plus one
 kernel call: the guards reject inadmissible states with
 :class:`InadmissibleStateError` and keep the powers ``(phi**2 - psi**2)**n``
 (or ``(x1*x2)**n``, or the ``x_i``) inside the representable range, raising
-:class:`RangeExceededError` instead of returning infinities; long runs
+:class:`RangeExceededError` instead of returning infinities (from ``n = 41``
+the phase guard's lower bound is raised further, so that the term
+``4**n n phi / (2q (phi**2 - psi**2)**n)`` stays finite too); long runs
 deliberately drive ``phi`` to infinity and integration must stop cleanly.
 The phase guard and kernel read their bounds and constants from a record
 built, and ``n`` validated, once per ``n`` (``_pn``); an ``n`` whose
@@ -110,7 +112,16 @@ def _pn(n: int) -> _Pn:
         pow4q = math.inf
     if pow4q == math.inf:
         raise ValueError(f"n={n} is too large: the constants of P_n overflow a float")
-    return _Pn(n, *_phase_bounds(n), pow4q, 4.0 ** n * n, 2 * q,
+    c4 = 4.0 ** n * n
+    lo, hi = _phase_bounds(n)
+    # The term c4 * phi / (q2 * p2**n) of rhs_phase, p2 = phi**2 - psi**2,
+    # must stay finite too.  A positive float difference p2 is at least
+    # 2**-54 * phi**2 (an ulp of psi**2 near phi**2, or half of phi**2), so
+    # phi < 2**28 * sqrt(p2) and the term is below c4 * 2**28 / (q2 * p2**(n - 1/2)).
+    # Keeping it below 2**1020, which leaves room for the other terms,
+    # raises lo from n = 41 on.
+    lo = max(lo, (c4 / 2.0 ** 1020 * 2.0 ** 28 / (2 * q)) ** (1 / (n - 0.5)))
+    return _Pn(n, lo, hi, pow4q, c4, 2 * q,
                (n - 1) / (2 * n - 1), 6 * n - 1, -4 * n + 5, 2 * n + 1)
 
 
@@ -239,7 +250,7 @@ def submersion_fixed_points(n: int) -> tuple[float, float]:
     full slice system (the axis is invariant).  The discriminant
     ``1 - 6n/(n+2)**2`` is positive for every ``n >= 2``.
     """
-    _require_n(n)
+    _pn(n)  # refuses n, the large n whose constants overflow included
     disc = 1.0 - 6.0 * n / (n + 2) ** 2
     base = 4.0 ** (n - 1) * (n + 2) / 3.0
     u_minus = base * (1.0 - math.sqrt(disc))

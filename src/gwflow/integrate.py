@@ -12,13 +12,18 @@ monitor marked ``stop`` ends the run at its first located crossing.
 
 The states here have one to three components, where numpy's per-call
 overhead costs far more than the arithmetic, so each step runs on Python
-floats: the state, the stages, the 5th-order update, the error estimate and
-its norm are lists of floats, the stages unrolled as in Hairer's DOPRI5.
-The right-hand side still receives every stage state as a fresh ndarray; a
-tuple of floats it returns (as gwflow's vector fields do) is used as it is,
-and any other result is copied to a list of floats at once.  Monitors and
-diagnostics receive ndarrays, and a :class:`Trajectory` and its events hold
-ndarrays.
+floats, in a kernel generated per state dimension from the Dormand-Prince
+tableau (``_dopri_kernel``): every stage state, the 5th-order update, the
+error estimate and its norm are written out component by component as
+scalar expressions, with no loop and no list in between.  The kernel is
+compiled once per process and dimension, when a run of that dimension
+first needs it; ``print(inspect.getsource(_dopri_kernel(2)))`` shows its
+source, which tracebacks show too.  The right-hand side still receives
+every stage state as a fresh ndarray; a tuple of floats it returns (as
+gwflow's vector fields do) is used as it is, any other result is copied to
+a list of floats at once, and a result of the wrong length raises
+:class:`ValueError` at that stage.  Monitors and diagnostics receive
+ndarrays, and a :class:`Trajectory` and its events hold ndarrays.
 
 The problems integrated here are smooth and non-stiff by construction; when
 a right-hand side reports :class:`~gwflow.flows.RangeExceededError`, or the
@@ -29,8 +34,10 @@ cleanly with the reason recorded on the trajectory rather than raising.
 from __future__ import annotations
 
 import enum
+import linecache
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -51,21 +58,23 @@ __all__ = [
 MIN_STEP = 1e-14
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, *Solving ODEs I*, II.5):
-# stage nodes c, stage coefficients a, 5th-order weights b and the
-# 5th-minus-4th-order error weights e.  The zero entries a72 = b2 = e2 = 0 are
-# left out, and c6 = c7 = 1.  The last stage's coefficients equal b and
-# b7 = 0, which makes the pair FSAL: the last stage's state is the 5th-order
-# solution and the stage itself the derivative there.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+# stage nodes c, stage coefficients a (row i for stage i + 1), 5th-order
+# weights b and the 5th-minus-4th-order error weights e.  The last stage's
+# coefficients equal b and b7 = 0, which makes the pair FSAL: the last
+# stage's state is the 5th-order solution and the stage itself the derivative
+# there.  The kernels leave out every zero entry (a72 = b2 = e2 = 0), since
+# even a zero term can flip the sign of a zero sum, and write c = 1 as ``t + h``.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
 )
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
 class Termination(enum.Enum):
@@ -162,54 +171,86 @@ class Trajectory:
         return None
 
 
-def _stage(rhs, t, y):
-    k = rhs(t, np.array(y))
-    return k if type(k) is tuple else np.asarray(k, dtype=float).tolist()
+def _kernel_source(dim: int) -> str:
+    """Python source of the Dormand-Prince step for states of ``dim``
+    components, every state, stage and sum written out per component.  Each
+    sum adds its terms in the tableau's order, as a loop over components
+    would, so the kernels give that loop's bits."""
+    comps = range(dim)
+
+    def names(fmt: str) -> str:  # "y0, y1," for fmt "y{i}": a tuple even for dim 1
+        return ", ".join(fmt.format(i=i) for i in comps) + ","
+
+    def time(j: int) -> str:  # the time of stage j
+        return "t + h" if _C[j - 1] == 1.0 else f"t + {_C[j - 1]!r} * h"
+
+    def combination(coefs, i: int) -> str:  # sum_j coefs[j] * k{j+1}_i, zeros left out
+        return " + ".join(f"{c!r} * k{j}_{i}" for j, c in enumerate(coefs, 1) if c)
+
+    lines = [
+        f"def dopri5_dim{dim}(rhs, t, y, k1, h, abs_tol=None, rel_tol=None):",
+        f"    {names('y{i}')} = y",
+        f"    {names('k1_{i}')} = k1",
+    ]
+    for j in range(2, 7):
+        lines.append(f"    k = rhs({time(j)}, array([")
+        lines += [f"        y{i} + h * ({combination(_A[j - 1], i)})," for i in comps]
+        lines.append("    ]))")
+        lines.append(f"    {names(f'k{j}_{{i}}')} = k if type(k) is tuple else floats(k)")
+    lines += [f"    z{i} = y{i} + h * ({combination(_B, i)})" for i in comps]
+    lines += [
+        "    if abs_tol is None:",
+        f"        return {names('z{i}')}",
+        f"    k7 = rhs({time(7)}, array([{names('z{i}')}]))",
+        "    if type(k7) is not tuple:",
+        "        k7 = floats(k7)",
+        f"    {names('k7_{i}')} = k7",
+    ]
+    lines += [f"    e{i} = h * ({combination(_E, i)})" for i in comps]
+    finite = " and ".join(f"isfinite({v}{i})" for v in "ze" for i in comps)
+    lines += [
+        f"    if not ({finite}):",
+        f"        return ({names('z{i}')}), k7, None",
+    ]
+    # RMS of the error relative to abs_tol + rel_tol * max(|y|, |y_new|);
+    # sum() is compensated from Python 3.12 on, so it stays a sum()
+    lines += [
+        f"    q{i} = e{i} / (abs_tol + rel_tol * max(abs(y{i}), abs(z{i})))" for i in comps
+    ]
+    squares = ", ".join(f"q{i} * q{i}" for i in comps)
+    lines.append(f"    return ({names('z{i}')}), k7, sqrt(sum([{squares}]) / {dim})")
+    return "\n".join(lines) + "\n"
 
 
-def _dopri_update(rhs, t, y, k1, h):
-    """The 5th-order solution of a Dormand-Prince step of size ``h`` from
-    ``(t, y)``, ``k1 = rhs(t, y)``, and the stages k3 to k6 that the error
-    estimate reuses: five ``rhs`` calls, each handed a fresh ndarray.
-    States are lists of floats; a stage is ``rhs``'s tuple, or else a copy.
+@lru_cache(maxsize=None)
+def _dopri_kernel(dim: int):
+    """The Dormand-Prince step for states of ``dim`` components, generated
+    from the tableau once per process and dimension.
+
+    ``kernel(rhs, t, y, k1, h, abs_tol, rel_tol)`` takes ``y`` and
+    ``k1 = rhs(t, y)`` as sequences of ``dim`` floats and makes six ``rhs``
+    calls, each handed a fresh ndarray.  It returns the 5th-order solution
+    (the last stage's state) as a tuple of floats, the last stage (the
+    derivative there) and the RMS error norm, or ``None`` for the norm when
+    the solution or the error estimate is not finite.  A stage is ``rhs``'s
+    tuple, or else a list-of-floats copy; one of the wrong length raises
+    :class:`ValueError`.  ``kernel(rhs, t, y, k1, h)`` stops after five calls
+    and returns the 5th-order solution alone.
+
+    The source is registered with :mod:`linecache`, so tracebacks show its
+    lines and ``inspect.getsource(_dopri_kernel(2))`` prints it.
     """
-    k2 = _stage(rhs, t + _C2 * h, [a + h * (_A21 * p) for a, p in zip(y, k1)])
-    k3 = _stage(rhs, t + _C3 * h, [a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, k1, k2)])
-    k4 = _stage(
-        rhs, t + _C4 * h,
-        [a + h * (_A41 * p + _A42 * q + _A43 * r) for a, p, q, r in zip(y, k1, k2, k3)],
-    )
-    k5 = _stage(
-        rhs, t + _C5 * h,
-        [
-            a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * s)
-            for a, p, q, r, s in zip(y, k1, k2, k3, k4)
-        ],
-    )
-    k6 = _stage(
-        rhs, t + h,
-        [
-            a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * s + _A65 * u)
-            for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)
-        ],
-    )
-    y_new = [
-        a + h * (_B1 * p + _B3 * r + _B4 * s + _B5 * u + _B6 * v)
-        for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)
-    ]
-    return y_new, k3, k4, k5, k6
-
-
-def _dopri_step(rhs, t, y, k1, h):
-    """One Dormand-Prince step: the 5th-order solution (the state of the last
-    stage), the last stage (the derivative there) and the error estimate."""
-    y_new, k3, k4, k5, k6 = _dopri_update(rhs, t, y, k1, h)
-    k7 = _stage(rhs, t + h, y_new)
-    err = [
-        h * (_E1 * p + _E3 * r + _E4 * s + _E5 * u + _E6 * v + _E7 * w)
-        for p, r, s, u, v, w in zip(k1, k3, k4, k5, k6, k7)
-    ]
-    return y_new, k7, err
+    source = _kernel_source(dim)
+    filename = f"<gwflow.integrate Dormand-Prince kernel, dim {dim}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {
+        "array": np.array,
+        "floats": lambda k: np.asarray(k, dtype=float).tolist(),
+        "isfinite": math.isfinite,
+        "sqrt": math.sqrt,
+    }
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[f"dopri5_dim{dim}"]
 
 
 def _substep_evaluator(rhs, t0, y0, f0, t1, y1):
@@ -219,8 +260,10 @@ def _substep_evaluator(rhs, t0, y0, f0, t1, y1):
     steps that are a few percent of the solution's own scale, where a
     cubic's interpolation error moves localized event times by far more
     than the integration error does.  The 5th-order update of a single step
-    of size ``t - t0`` keeps in-step states at the integrator's own order;
-    the last (FSAL) stage serves only the error estimate, so is left out.
+    of size ``t - t0`` keeps in-step states at the integrator's own order:
+    it is the kernel of :func:`integrate` (``_dopri_kernel``) called without
+    tolerances, which stops before the last (FSAL) stage, since that stage
+    serves only the error estimate.
 
     ``y0`` and ``f0 = rhs(t0, y0)`` may be ndarrays, lists or tuples of
     floats; the evaluator returns a fresh ndarray.  :func:`integrate` builds
@@ -228,6 +271,7 @@ def _substep_evaluator(rhs, t0, y0, f0, t1, y1):
     """
     y0 = [float(v) for v in y0]
     f0 = [float(v) for v in f0]
+    update = _dopri_kernel(len(y0))
 
     def interp(t: float) -> np.ndarray:
         tau = t - t0
@@ -235,7 +279,7 @@ def _substep_evaluator(rhs, t0, y0, f0, t1, y1):
             return np.array(y0)
         if t >= t1:
             return np.array(y1, dtype=float)
-        return np.array(_dopri_update(rhs, t0, y0, f0, tau)[0])
+        return np.array(update(rhs, t0, y0, f0, tau))
 
     return interp
 
@@ -333,7 +377,7 @@ def integrate(
     monitors = list(monitors)
     y_arr = np.array(initial, dtype=float)
     y = y_arr.tolist()
-    dim = len(y)
+    step = _dopri_kernel(len(y))
     t = float(t0)
     t_end = t0 + config.t_max
     rel_tol, abs_tol = config.rel_tol, config.abs_tol
@@ -378,7 +422,7 @@ def integrate(
             break
 
         try:
-            y_new, f_new, err_vec = _dopri_step(rhs, t, y, f_now, h)
+            y_new, f_new, err = step(rhs, t, y, f_now, h, abs_tol, rel_tol)
         except RangeExceededError:
             termination = Termination.RANGE_EXCEEDED
             break
@@ -388,14 +432,11 @@ def integrate(
             h *= 0.5
             continue
 
-        if not all(map(math.isfinite, y_new + err_vec)):
+        if err is None:  # the solution or the error estimate is not finite
             nonfinite_failure = True
             h *= 0.5
             continue
         nonfinite_failure = False
-        # RMS of the error relative to abs_tol + rel_tol * max(|y|, |y_new|)
-        qs = [e / (abs_tol + rel_tol * max(abs(a), abs(b))) for e, a, b in zip(err_vec, y, y_new)]
-        err = math.sqrt(sum([q * q for q in qs]) / dim)
 
         if err > 1.0:
             # reject: pure proportional shrink, no growth

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,7 +262,7 @@ class TestPerNConstants:
                 call(bad)
 
 
-    @pytest.mark.parametrize("n", [504, 509, 512, 600])
+    @pytest.mark.parametrize("n", [504, 509, 512, 513, 600])
     def test_n_whose_constants_overflow_is_refused(self, n):
         # 4**(n-1) (n+2)(2n-1) is inf from n = 504, and 4.0**(n-1) raises from n = 513
         calls = [
@@ -268,6 +270,7 @@ class TestPerNConstants:
             lambda: rhs_submersion(n, 2.5),
             lambda: rhs_reparam(n, 4.0, -1e-3),
             lambda: SYSTEMS["submersion"].field(n),
+            lambda: submersion_fixed_points(n),
         ]
         for call in calls:
             with pytest.raises(ValueError, match=f"n={n} is too large"):
@@ -275,6 +278,48 @@ class TestPerNConstants:
 
     def test_largest_n_has_finite_constants(self):
         assert all(map(np.isfinite, flows._pn(503)))
+
+    @pytest.mark.parametrize("n", sorted({*range(2, 504, 9), 278, 300, 503}))
+    def test_no_infinity_just_inside_the_guard(self, n):
+        # under the old lower bound, the term c4 * phi / (q2 * p2**n) overflowed
+        # at such points for every n from 46 on
+        for phi, psi in _guard_edge_points(n):
+            try:
+                values = rhs_phase(n, phi, psi)
+            except RangeExceededError:
+                continue
+            assert all(map(math.isfinite, values)), (n, phi, psi, values)
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_lower_bound_unchanged_where_the_terms_stay_finite(self, n):
+        assert flows._pn(n).lo == flows._phase_bounds(n)[0]
+
+
+def _guard_edge_points(n):
+    """Cone points just inside rhs_phase's guard at ``n``: ``phi**2`` just
+    below its upper bound, and ``phi**2 - psi**2`` just above its lower bound
+    (or as small as floats make it) for a spread of ``phi``."""
+    c = flows._pn(n)
+    phi_hi = math.sqrt(c.hi)
+    while phi_hi * phi_hi > c.hi:
+        phi_hi = math.nextafter(phi_hi, 0.0)
+    phi_lo = math.sqrt(c.lo)
+    while phi_lo * phi_lo < c.lo:
+        phi_lo = math.nextafter(phi_lo, math.inf)
+    points = [(phi_hi, u * phi_hi) for u in (0.0, 0.5, -0.99)] + [(phi_lo, 0.0)]
+    for phi in sorted({1.5 * phi_lo, 1.0, 8 / 7, math.sqrt(phi_lo * phi_hi), phi_hi}):
+        if not phi_lo <= phi <= phi_hi:
+            continue
+        # psi from the largest below phi down, and from p2 = lo up and down
+        starts = (math.nextafter(phi, 0.0), math.sqrt(max(phi * phi - c.lo, 0.0)))
+        for psi in starts:
+            for k in range(-3, 4):
+                s = psi
+                for _ in range(abs(k)):
+                    s = math.nextafter(s, math.copysign(math.inf, k))
+                if 0.0 <= s < phi:
+                    points += [(phi, s), (phi, -s)]
+    return points
 
 
 class TestVectorFields:

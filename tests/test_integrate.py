@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gwflow import (
+    SYSTEMS,
     IntegratorConfig,
     Metric,
     Monitor,
@@ -23,7 +25,7 @@ from gwflow import (
     x3_from_volume_one,
 )
 from gwflow import ExperimentConfig, experiment, run_theorem_experiment
-from gwflow.integrate import _substep_evaluator
+from gwflow.integrate import _dopri_kernel, _substep_evaluator
 from gwflow.spaces import _phase_ricci_values
 
 
@@ -371,6 +373,67 @@ DP_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
 DP_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
 DP_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
 DP_B = DP_A[6]
+DP_E = [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+
+# The comprehension-based step that gwflow.integrate's generated kernels
+# replaced, kept as their bit-for-bit reference, with the tableau above.
+_C2, _C3, _C4, _C5 = DP_C[1:5].tolist()
+(_A21,) = DP_A[1, :1].tolist()
+_A31, _A32 = DP_A[2, :2].tolist()
+_A41, _A42, _A43 = DP_A[3, :3].tolist()
+_A51, _A52, _A53, _A54 = DP_A[4, :4].tolist()
+_A61, _A62, _A63, _A64, _A65 = DP_A[5, :5].tolist()
+_B1, _, _B3, _B4, _B5, _B6 = DP_B[:6].tolist()
+_E1, _, _E3, _E4, _E5, _E6, _E7 = DP_E
+
+
+def _stage(rhs, t, y):
+    k = rhs(t, np.array(y))
+    return k if type(k) is tuple else np.asarray(k, dtype=float).tolist()
+
+
+def reference_update(rhs, t, y, k1, h):
+    """The 5th-order solution of a step of size ``h`` and the stages k3 to k6."""
+    k2 = _stage(rhs, t + _C2 * h, [a + h * (_A21 * p) for a, p in zip(y, k1)])
+    k3 = _stage(rhs, t + _C3 * h, [a + h * (_A31 * p + _A32 * q) for a, p, q in zip(y, k1, k2)])
+    k4 = _stage(
+        rhs, t + _C4 * h,
+        [a + h * (_A41 * p + _A42 * q + _A43 * r) for a, p, q, r in zip(y, k1, k2, k3)],
+    )
+    k5 = _stage(
+        rhs, t + _C5 * h,
+        [
+            a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * s)
+            for a, p, q, r, s in zip(y, k1, k2, k3, k4)
+        ],
+    )
+    k6 = _stage(
+        rhs, t + h,
+        [
+            a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * s + _A65 * u)
+            for a, p, q, r, s, u in zip(y, k1, k2, k3, k4, k5)
+        ],
+    )
+    y_new = [
+        a + h * (_B1 * p + _B3 * r + _B4 * s + _B5 * u + _B6 * v)
+        for a, p, r, s, u, v in zip(y, k1, k3, k4, k5, k6)
+    ]
+    return y_new, k3, k4, k5, k6
+
+
+def reference_step(rhs, t, y, k1, h, abs_tol, rel_tol):
+    """One step: the 5th-order solution, the last (FSAL) stage, and the RMS
+    error norm, or ``None`` where the solution or the error is not finite."""
+    y_new, k3, k4, k5, k6 = reference_update(rhs, t, y, k1, h)
+    k7 = _stage(rhs, t + h, y_new)
+    err_vec = [
+        h * (_E1 * p + _E3 * r + _E4 * s + _E5 * u + _E6 * v + _E7 * w)
+        for p, r, s, u, v, w in zip(k1, k3, k4, k5, k6, k7)
+    ]
+    if not all(map(math.isfinite, y_new + err_vec)):
+        return y_new, k7, None
+    qs = [e / (abs_tol + rel_tol * max(abs(a), abs(b))) for e, a, b in zip(err_vec, y, y_new)]
+    return y_new, k7, math.sqrt(sum([q * q for q in qs]) / len(y))
 
 
 def coupled_field(dim):
@@ -439,6 +502,20 @@ class TestFloatKernel:
         with pytest.raises(ValueError, match="shape"):
             integrate(lambda t, y: np.array([1.0]), [0.0, 0.0], IntegratorConfig(t_max=1.0))
 
+    @pytest.mark.parametrize(
+        "wrong", [(1.0,), [1.0], np.array([1.0, 0.5, 0.25]), (1.0, 0.5, 0.25)], ids=repr
+    )
+    def test_a_stage_of_the_wrong_length_fails_there(self, wrong):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return wrong if len(calls) == 3 else (1.0, -0.5 * y[1])
+
+        with pytest.raises(ValueError, match="values to unpack"):
+            integrate(rhs, [0.0, 1.0], IntegratorConfig(t_max=1.0))
+        assert len(calls) == 3  # the initial call, stage 2, and the wrong stage 3
+
     # the counts recorded for these runs in perfbench/reference.json
     @pytest.mark.parametrize("n,epsilon,steps", [(2, 1e-3, 107), (5, 1e-3, 113), (8, 1e-4, 93)])
     def test_experiment_step_counts_pinned(self, monkeypatch, n, epsilon, steps):
@@ -452,6 +529,71 @@ class TestFloatKernel:
         run_theorem_experiment(ExperimentConfig(n=n, epsilon=epsilon, t_max=1e6))
         (traj,) = runs
         assert len(traj) - 1 == steps
+
+
+def _kernel_cases():
+    """``(id, rhs, t0, y0, steps)`` for dimensions 1 to 4: the coupled field,
+    as it returns an ndarray and as a tuple, and gwflow's vector fields."""
+    cases = []
+    for dim in range(1, 5):
+        f = coupled_field(dim)
+        y0 = np.linspace(0.5, 1.5, dim)
+        cases.append((f"coupled-{dim}", f, 0.25, y0, (1e-3, 0.1, 0.7, 3.0)))
+        cases.append((f"coupled-tuple-{dim}", lambda t, y, f=f: tuple(f(t, y).tolist()), 0.25, y0,
+                      (0.1, 3.0)))
+        blow_up = lambda t, y: tuple(v * v for v in y.tolist())  # noqa: E731
+        cases.append((f"blow-up-{dim}", blow_up, 0.0, np.full(dim, 1e100), (1.0,)))
+    starts = {"phi": 3.0, "psi": -0.2, "x1": 1.1, "x2": 0.9, "x3": 1.0 / (1.1 * 0.9)}
+    for name, system in SYSTEMS.items():
+        for n in (2, 5):
+            y0 = np.array([starts[c] for c in system.state])
+            cases.append((f"{name}-{n}", system.field(n), 0.0, y0, (1e-4, 1e-3, 0.01)))
+    return cases
+
+
+_KERNEL_CASES = _kernel_cases()
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestGeneratedKernels:
+    """The generated kernels against the comprehension-based reference step,
+    bit for bit."""
+
+    @pytest.mark.parametrize("case", _KERNEL_CASES, ids=[c[0] for c in _KERNEL_CASES])
+    def test_step_matches_the_reference(self, case):
+        _, rhs, t0, y0, steps = case
+        y, k1 = y0.tolist(), np.asarray(rhs(t0, y0), dtype=float).tolist()
+        step = _dopri_kernel(len(y))
+        for h in steps:
+            for abs_tol, rel_tol in ((1e-12, 1e-10), (1e-6, 1e-3)):
+                y_new, k7, err = step(rhs, t0, y, k1, h, abs_tol, rel_tol)
+                ref_y, ref_k7, ref_err = reference_step(rhs, t0, y, k1, h, abs_tol, rel_tol)
+                assert bits(y_new) == bits(ref_y)
+                assert bits(k7) == bits(ref_k7)
+                assert (err is None) == (ref_err is None)
+                if err is not None:
+                    assert bits(err) == bits(ref_err)
+
+    @pytest.mark.parametrize("case", _KERNEL_CASES, ids=[c[0] for c in _KERNEL_CASES])
+    def test_in_step_states_match_the_reference(self, case):
+        _, rhs, t0, y0, steps = case
+        f0 = rhs(t0, y0)
+        for h in steps:
+            interp = _substep_evaluator(rhs, t0, y0, f0, t0 + h, y0)
+            for frac in (0.1, 0.37, 0.5, 0.999):
+                t = t0 + frac * h
+                ref = reference_update(
+                    rhs, t0, y0.tolist(), np.asarray(f0, dtype=float).tolist(), t - t0
+                )[0]
+                assert interp(t).tobytes() == bits(ref)
+
+    def test_kernel_source_is_shown(self):
+        source = inspect.getsource(_dopri_kernel(2))
+        assert source.startswith("def dopri5_dim2(")
+        assert "sum([q0 * q0, q1 * q1])" in source
 
 
 def _result_forms(field):

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from gwflow import portrait
+from gwflow import flows, portrait
 from gwflow.flows import RangeExceededError, field_phase, rhs_phase
 from gwflow.integrate import IntegratorConfig, Termination, integrate
 
@@ -97,18 +97,25 @@ def test_n_is_refused_as_rhs_phase_refuses_it(n):
 
 
 def test_a_huge_finite_field_still_gets_its_arrow():
-    # at n = 277 the field at (8/7, -1) is finite, about 1.5e306, but its pixel
-    # vector overflowed and the arrow was drawn with nan coordinates
-    n, window = 277, ((1.0, 3.0), (-1.0, 1.0))
-    dphi, _ = rhs_phase(n, 8 / 7, -1.0)
-    assert math.isfinite(dphi) and math.isinf(dphi * 360.0)
+    # at n = 45, just above the guard's lower bound on phi^2 - psi^2, the field
+    # is finite, about 3e303, but its pixel vector in a window 1e-3 wide
+    # (720 px across) overflows, and the arrow was drawn with nan coordinates
+    n, phi0 = 45, 100.0
+    psi0 = math.sqrt(phi0 * phi0 - 1.01 * flows._pn(n).lo)
+    (phi_min, phi_max), (psi_min, psi_max) = window = ((phi0, phi0 + 1e-3), (psi0, psi0 + 1e-3))
+    dphi, _ = rhs_phase(n, phi0, psi0)
+    assert math.isfinite(dphi) and math.isinf(dphi * 720.0 / 1e-3)
     svg = portrait.render_portrait(n, *window)
     arrows = svg.split('<g id="vectors">')[1].split("</g>")[0]
     assert "nan" not in arrows
     drawn = 0
-    grid = itertools.product([1.0 + i * 2.0 / 14 for i in range(15)], [-1.0 + j * 2.0 / 8 for j in range(9)])
+    grid = itertools.product(
+        [phi_min + i * (phi_max - phi_min) / 14 for i in range(15)],
+        [psi_min + j * (psi_max - psi_min) / 8 for j in range(9)],
+    )
     for phi, psi in grid:
         if phi - abs(psi) > 1e-9:
             with contextlib.suppress(ValueError, RangeExceededError):
                 drawn += all(map(math.isfinite, rhs_phase(n, phi, psi)))
+    assert drawn > 0
     assert arrows.count("<line") == drawn
