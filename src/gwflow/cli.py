@@ -37,12 +37,13 @@ from .portrait import render_portrait
 from .spaces import (
     Metric,
     PhasePoint,
+    _chart_values,
+    _x3_values,
     make_pn,
     negative_count,
     ricci_coefficients,
     ricci_phase,
     volume,
-    x3_from_volume_one,
 )
 
 CSV_HEADER = "t,x1,x2,x3,phi,psi,r1,r2,r3,S,V,neg_count"
@@ -86,7 +87,8 @@ _COMMANDS = {
         "system": (str, _REQUIRED, {"choices": list(SYSTEMS)}),
         # the state of every system, in first-use order (x1, x2, x3, phi, psi)
         **dict.fromkeys((k for s in SYSTEMS.values() for k in s.state), (float, None)),
-        **_options(IntegratorConfig),
+        # the integrator's settings but event_tol: flow watches no events
+        **{k: v for k, v in _options(IntegratorConfig).items() if k != "event_tol"},
         "t_max": (float, 10.0),
     },
     "experiment": _options(ExperimentConfig),
@@ -218,16 +220,13 @@ def _csv_lines(system: str, n: int, traj: Trajectory) -> Iterable[str]:
     cols = traj.y.T.tolist()
     if SYSTEMS[system].state[0] == "x1":  # scale factors; x3 completes the slice
         if len(cols) == 2:
-            cols.append([x3_from_volume_one(n, x1, x2) for x1, x2 in zip(*cols)])
+            cols.append([_x3_values(n, x1, x2) for x1, x2 in zip(*cols)])
         rows = [(Metric(*xs), xs[0] + xs[1], xs[0] - xs[1]) for xs in zip(*cols)]
         spectra = (ricci_coefficients(space, m) for m, _, _ in rows)
     else:  # phase coordinates; the submersion runs on the axis psi = 0
         if len(cols) == 1:
             cols.append([0.0] * len(traj))
-        rows = []
-        for phi, psi in zip(*cols):
-            x1, x2 = 0.5 * (phi + psi), 0.5 * (phi - psi)
-            rows.append((Metric(x1, x2, x3_from_volume_one(n, x1, x2)), phi, psi))
+        rows = [(Metric(*_chart_values(n, phi, psi)), phi, psi) for phi, psi in zip(*cols)]
         spectra = (ricci_phase(PhasePoint(phi, psi, n)) for _, phi, psi in rows)
     yield CSV_HEADER
     for t, (m, phi, psi), spec in zip(traj.t.tolist(), rows, spectra):
@@ -243,8 +242,6 @@ def _csv_lines(system: str, n: int, traj: Trajectory) -> Iterable[str]:
 
 def cmd_flow(opts: dict, output: str | None) -> int:
     n, system = opts["n"], opts["system"]
-    if n < 2:
-        raise _UsageError(f"--n must be an integer >= 2, got {n}")
     if system not in SYSTEMS:
         raise _UsageError(f"unknown system {system!r}")
     state = SYSTEMS[system].state
@@ -253,7 +250,7 @@ def cmd_flow(opts: dict, output: str | None) -> int:
         raise _UsageError(f"system {system!r} requires {', '.join(missing)}")
 
     try:
-        config = IntegratorConfig(**{k: opts[k] for k in _options(IntegratorConfig)})
+        config = IntegratorConfig(**{k: opts[k] for k in _options(IntegratorConfig) if k in opts})
         field = SYSTEMS[system].field(n)
     except ValueError as exc:
         raise _UsageError(str(exc))
@@ -311,10 +308,10 @@ def cmd_portrait(opts: dict, output: str | None) -> int:
 
 
 def cmd_check(opts: dict, output: str | None) -> int:
-    n_max = opts["n_max"]
-    if n_max < 2:
-        raise _UsageError(f"--n-max must be an integer >= 2, got {n_max}")
-    results = checks_mod.run_invariant_checks(n_max)
+    try:
+        results = checks_mod.run_invariant_checks(opts["n_max"])
+    except ValueError as exc:
+        raise _UsageError(str(exc))
     width = max(len(r.name) for r in results)
     all_ok = True
     for r in results:

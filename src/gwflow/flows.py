@@ -25,15 +25,26 @@ live in unguarded kernels (``_full_values``, ``_reduced_values``,
 ``_phase_values``) that also take float64 arrays; :mod:`gwflow.checks`
 evaluates a whole grid through them.  Each ``rhs_*`` is its guard plus one
 kernel call: the guards reject inadmissible states with
-:class:`InadmissibleStateError` and keep the powers ``(phi**2 - psi**2)**n``
-(or ``(x1*x2)**n``, or the ``x_i``) inside the representable range, raising
-:class:`RangeExceededError` instead of returning infinities (from ``n = 41``
-the phase guard's lower bound is raised further, so that the term
-``4**n n phi / (2q (phi**2 - psi**2)**n)`` stays finite too); long runs
-deliberately drive ``phi`` to infinity and integration must stop cleanly.
-The phase guard and kernel read their bounds and constants from a record
-built, and ``n`` validated, once per ``n`` (``_pn``); an ``n`` whose
-constants overflow a float (``n >= 504``) is refused with :class:`ValueError`.
+:class:`InadmissibleStateError`, and raise :class:`RangeExceededError`
+wherever the kernel could leave the float range, so that no state inside a
+guard gives an infinity or ``nan``; long runs deliberately drive ``phi`` to
+infinity and integration must stop cleanly.  What each guard bounds:
+
+* :func:`rhs_full` keeps every ``x_i`` in ``[1e-76, 1e76]``, which bounds
+  every term on the spaces ``P_n`` (the derivation is at ``_X_LIMIT``).
+* :func:`rhs_reduced_x` keeps ``x_i**2`` and ``(x1*x2)**n`` in range, and
+  ``x_i / (x1*x2)**n`` below ``2**1000``.
+* :func:`rhs_phase` (and :func:`rhs_reparam`, :func:`rhs_submersion`) keeps
+  ``(phi**2 - psi**2)**n`` and ``phi**(2n)`` in range, and from ``n = 41``
+  the term ``4**n n phi / (2q (phi**2 - psi**2)**n)`` finite.
+
+Each slice formulation reads its bounds from one record, built, and ``n``
+validated, once per ``n``: ``_reduced_bounds`` for the reduced system and
+``_pn``, which also holds the constants, for the phase systems.  Each
+``field_*`` fetches its record when it is built, so a bad ``n`` is refused
+before a run.  ``_pn`` refuses with :class:`ValueError` an ``n`` whose
+constants overflow a float (``n >= 504``); the reduced and full systems
+answer for those too.
 """
 
 from __future__ import annotations
@@ -68,7 +79,11 @@ __all__ = [
 ]
 
 RANGE_LIMIT = 1e280
-_X_LIMIT = 1e140  # per-factor bound keeping x_i/(x_j*x_k) within range
+# rhs_full's guard keeps each x_i in [1/L, L], L = _X_LIMIT.  Then every
+# x_i/(x_j*x_k) is at most L**3, and on P_n each a_i is below 1/2, so |r_i| <=
+# L/2 + 3 L**3 / 4; the trace term, twice a weighted mean of the r_i, is at
+# most 2 max|r_i|, so |x_i'| <= 4 max|r_i| L <= 3 L**4 + 2 L**2, below 4e304
+_X_LIMIT = 1e76
 Field = Callable[[float, np.ndarray], tuple[float, ...]]  # (t, state) -> derivative
 
 
@@ -93,10 +108,22 @@ class ReparamInvalidError(InadmissibleStateError):
     """
 
 
-@lru_cache(maxsize=None)
 def _phase_bounds(n: int) -> tuple[float, float]:
-    # (phi**2 - psi**2)**n must stay within [1/RANGE_LIMIT, RANGE_LIMIT]
-    return RANGE_LIMIT ** (-1.0 / n), RANGE_LIMIT ** (1.0 / n)
+    # n, validated, and the bounds that keep (phi**2 - psi**2)**n or (x1*x2)**n in range
+    _require_n(n)
+    try:
+        return RANGE_LIMIT ** (-1.0 / n), RANGE_LIMIT ** (1.0 / n)
+    except OverflowError:  # 1.0 / n, for an n beyond the float range
+        raise ValueError(f"n={n} is too large for a float") from None
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 is still validated, and refused, once 2 is cached
+def _reduced_bounds(n: int) -> tuple[float, float]:
+    lo, hi = _phase_bounds(n)
+    # The terms x_i / (x1*x2)**n of rhs_reduced_x must stay finite too.  The
+    # guard keeps x_i <= sqrt(hi), so (x1*x2)**n >= sqrt(hi) * 2**-1000 keeps
+    # them below 2**1000; that raises lo for n <= 6
+    return max(lo, (math.sqrt(hi) * 2.0 ** -1000) ** (1 / n)), hi
 
 
 _Pn = namedtuple("_Pn", "n lo hi pow4q c4 q2 r k6 k4 k2")  # n, guard bounds, constants
@@ -104,7 +131,7 @@ _Pn = namedtuple("_Pn", "n lo hi pow4q c4 q2 r k6 k4 k2")  # n, guard bounds, co
 
 @lru_cache(maxsize=None, typed=True)  # typed: 2.0 is still validated, and refused, once 2 is cached
 def _pn(n: int) -> _Pn:
-    _require_n(n)
+    lo, hi = _phase_bounds(n)
     q = (n + 2) * (2 * n - 1)  # each constant in the formula's own order: same bits
     try:
         pow4q = 4.0 ** (n - 1) * q  # the largest constant: c4 = 4.0 ** n * n is smaller
@@ -113,7 +140,6 @@ def _pn(n: int) -> _Pn:
     if pow4q == math.inf:
         raise ValueError(f"n={n} is too large: the constants of P_n overflow a float")
     c4 = 4.0 ** n * n
-    lo, hi = _phase_bounds(n)
     # The term c4 * phi / (q2 * p2**n) of rhs_phase, p2 = phi**2 - psi**2,
     # must stay finite too.  A positive float difference p2 is at least
     # 2**-54 * phi**2 (an ulp of psi**2 near phi**2, or half of phi**2), so
@@ -150,10 +176,9 @@ def _full_values(space: GWSpace, x1, x2, x3):
 
 def rhs_reduced_x(n: int, x1: float, x2: float) -> tuple[float, float]:
     """The two-equation system on the unit-volume slice of ``P_n``."""
-    _require_n(n)
+    lo, hi = _reduced_bounds(n)
     if not (x1 > 0 and x2 > 0):
         raise InadmissibleStateError(f"x1, x2 must be positive, got ({x1}, {x2})")
-    lo, hi = _phase_bounds(n)
     # squares by product: a float ** raises OverflowError where * gives inf
     if x1 * x1 > hi or x2 * x2 > hi or x1 * x2 < lo:
         raise RangeExceededError(f"powers of ({x1}, {x2}) outside guarded range")
@@ -271,6 +296,7 @@ def field_full(space: GWSpace) -> Field:
 
 def field_reduced(n: int) -> Field:
     """Vector field for :func:`rhs_reduced_x` (state ``[x1, x2]``), returning its tuple."""
+    _reduced_bounds(n)  # refuses n before the run, as field_phase does
 
     def f(t: float, y: np.ndarray) -> tuple[float, float]:
         x1, x2 = y.tolist()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .flows import RangeExceededError, _pn, field_phase, rhs_phase
+from .flows import RangeExceededError, _phase, _pn, field_phase
 from .integrate import IntegratorConfig, Monitor, integrate
 
 __all__ = ["render_portrait"]
@@ -48,7 +48,7 @@ def render_portrait(
     ``n`` that :func:`rhs_phase` refuses.  A grid point where the field is
     not finite draws nothing.
     """
-    _pn(n)
+    c = _pn(n)
     phi_min, phi_max = phi_range
     psi_min, psi_max = psi_range
     if not all(map(math.isfinite, (*phi_range, *psi_range))):
@@ -119,7 +119,7 @@ def render_portrait(
             if phi - abs(psi) <= 1e-9:
                 continue
             try:
-                dphi, dpsi = rhs_phase(n, phi, psi)
+                dphi, dpsi = _phase(c, phi, psi)
             except (RangeExceededError, ValueError):
                 continue
             cx, cy = to_px(phi, psi)
@@ -161,7 +161,7 @@ def render_portrait(
     if starts:
         parts.append('<g id="trajectories">')
         for phi0, psi0 in starts:
-            points = _trajectory_points(n, phi0, psi0, traj_t_max, phi_min, phi_max, psi_min, psi_max)
+            points = _trajectory_points(c, phi0, psi0, traj_t_max, phi_min, phi_max, psi_min, psi_max)
             if len(points) >= 2:
                 coords = " ".join(f"{_fmt(to_px(p, q)[0])},{_fmt(to_px(p, q)[1])}" for p, q in points)
                 parts.append(
@@ -182,7 +182,7 @@ def _clip_line_to_box(sign, phi_min, phi_max, psi_min, psi_max):
     return (lo, sign * lo), (hi, sign * hi)
 
 
-def _trajectory_points(n, phi0, psi0, t_max, phi_min, phi_max, psi_min, psi_max):
+def _trajectory_points(c, phi0, psi0, t_max, phi_min, phi_max, psi_min, psi_max):
     if not phi0 > abs(psi0):
         return []
 
@@ -197,7 +197,7 @@ def _trajectory_points(n, phi0, psi0, t_max, phi_min, phi_max, psi_min, psi_max)
     if start_depth == 0.0:
         # on the edge the monitor starts at 0 and never sees a strict sign
         # change, so a flow that does not point into the box is not drawn
-        dphi, dpsi = rhs_phase(n, phi0, psi0)
+        dphi, dpsi = _phase(c, phi0, psi0)
         edges = (
             (phi0 - phi_min, dphi),
             (phi_max - phi0, -dphi),
@@ -207,7 +207,7 @@ def _trajectory_points(n, phi0, psi0, t_max, phi_min, phi_max, psi_min, psi_max)
         if any(dist == 0.0 and inward <= 0.0 for dist, inward in edges):
             return []
     cfg = IntegratorConfig(t_max=t_max, rel_tol=1e-8, abs_tol=1e-10, max_steps=20_000)
-    traj = integrate(field_phase(n), [phi0, psi0], cfg, [Monitor("window", depth, stop=True)])
+    traj = integrate(field_phase(c.n), [phi0, psi0], cfg, [Monitor("window", depth, stop=True)])
     points = []
     for phi, psi in traj.y:
         points.append((float(phi), float(psi)))

@@ -238,6 +238,11 @@ def x3_from_volume_one(n: int, x1: float, x2: float) -> float:
     _require_n(n)
     if not (x1 > 0 and x2 > 0):
         raise ValueError(f"x1, x2 must be positive, got ({x1}, {x2})")
+    return _x3_values(n, x1, x2)
+
+
+def _x3_values(n: int, x1, x2):
+    # the formula of x3_from_volume_one, unguarded; x1, x2 may be float64 arrays
     return (x1 * x2) ** (-(n - 1))
 
 
@@ -249,11 +254,8 @@ def to_phase(n: int, x1: float, x2: float) -> PhasePoint:
 
 
 def from_phase(p: PhasePoint) -> tuple[float, float, float]:
-    """Inverse of :func:`to_phase`; completes the triple via
-    :func:`x3_from_volume_one`."""
-    x1 = 0.5 * (p.phi + p.psi)
-    x2 = 0.5 * (p.phi - p.psi)
-    return x1, x2, x3_from_volume_one(p.n, x1, x2)
+    """Inverse of :func:`to_phase`, with the ``x3`` of :func:`x3_from_volume_one`."""
+    return _chart_values(p.n, p.phi, p.psi)
 
 
 def _phase_ricci_values(n: int, phi: float, psi: float) -> tuple[float, float, float]:
@@ -272,6 +274,13 @@ def _phase_ricci_values(n: int, phi: float, psi: float) -> tuple[float, float, f
         + pow4 * (n - 1) / ((n + 2) * p2 ** n)
     )
     return r1, r2, r3
+
+
+def _chart_values(n: int, phi, psi):
+    # the chart of from_phase, (phi, psi) -> (x1, x2, x3), unguarded; phi, psi may be arrays
+    x1 = 0.5 * (phi + psi)
+    x2 = 0.5 * (phi - psi)
+    return x1, x2, _x3_values(n, x1, x2)
 
 
 def ricci_phase(p: PhasePoint) -> RicciSpectrum:

@@ -8,7 +8,8 @@ import pytest
 
 from gwflow import checks, flows, spaces
 from gwflow.checks import CheckResult, phase_grid, run_invariant_checks
-from gwflow.flows import rhs_full, rhs_phase, rhs_reduced_x
+from gwflow.flows import InadmissibleStateError, rhs_full, rhs_phase, rhs_reduced_x
+from gwflow.integrate import integrate
 from gwflow.spaces import PhasePoint, make_pn, ricci_phase, x3_from_volume_one
 
 PER_N_CHECKS = [
@@ -62,13 +63,33 @@ def test_passed_is_a_python_bool():
     assert all(r.passed for r in results)
 
 
-def test_volume_conservation_fails_on_a_run_that_stops_early():
-    # n = 200: the full-system run ends in StepUnderflow at t = 0, after one
-    # sample, so it shows nothing about conservation
-    r = checks._check_volume_conservation(200)
+def test_volume_conservation_fails_on_a_run_that_stops_early(monkeypatch):
+    # a field that refuses every state after t = 1 ends the run in
+    # StepUnderflow there, before t_max = 5: it shows nothing about
+    # conservation up to t_max
+    def integrate_until_1(field, y0, cfg):
+        def refusing(t, y):
+            if t > 1.0:
+                raise InadmissibleStateError(f"t = {t} > 1")
+            return field(t, y)
+
+        return integrate(refusing, y0, cfg)
+
+    monkeypatch.setattr(checks, "integrate", integrate_until_1)
+    r = checks._check_volume_conservation(2)
     assert r.passed is False
     assert "StepUnderflow" in r.detail
-    assert "at t = 0 " in r.detail
+    assert "at t = 1 " in r.detail
+
+
+@pytest.mark.parametrize("n", [*range(12, 41), 100, 250, 503])
+def test_volume_conservation_passes_where_1_1_lo_lies_above_hi(n):
+    # from n = 12 the start 1.1 lo lies above the upper fixed point, where
+    # the axis run blows up in finite time; the check starts at sqrt(lo hi)
+    lo, hi = flows.submersion_fixed_points(n)
+    assert 1.1 * lo > hi
+    r = checks._check_volume_conservation(n)
+    assert r.passed is True, r.detail
 
 
 def test_volume_conservation_passes_on_a_run_that_reaches_t_max():

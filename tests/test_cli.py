@@ -182,6 +182,12 @@ PORTRAIT = ("portrait", "--n", "2", "--phi-range", "1:3", "--psi-range", "-1:1")
         (("portrait", "--n", "2"), 1, "portrait requires --phi-range, --psi-range"),
         (("portrait", "--n", "1", "--phi-range", "1:3", "--psi-range", "-1:1"), 1,
          "n must be an integer >= 2, got 1"),
+        # the library's own check of n, and of n_max, is the reason given
+        (("flow", "--n", "1", "--system", "phase", "--phi", "2", "--psi", "0"), 1,
+         "n must be an integer >= 2, got 1"),
+        (("flow", "--n", "1", "--system", "full", "--x1", "1", "--x2", "1", "--x3", "1"), 1,
+         "n must be an integer >= 2, got 1"),
+        (("check", "--n-max", "1"), 1, "n_max must be an integer >= 2, got 1"),
     ],
 )
 def test_bad_input_gets_a_reason(capsys, argv, code, reason):
@@ -304,8 +310,8 @@ INTEGRATOR_VALUES = _field_values(IntegratorConfig, t_max=0.5, max_step=1.0)
 EXPERIMENT_VALUES = _field_values(ExperimentConfig, n=2, N=4.0, t_max=1e6)
 # a value for every option of every command
 OPTION_VALUES = {
-    "flow": {"n": 2, "system": "phase", "phi": 2.0, "psi": 0.0,
-             "x1": 1.1, "x2": 0.9, "x3": 1.3, **INTEGRATOR_VALUES},
+    "flow": {"n": 2, "system": "phase", "phi": 2.0, "psi": 0.0, "x1": 1.1, "x2": 0.9, "x3": 1.3,
+             **{k: v for k, v in INTEGRATOR_VALUES.items() if k != "event_tol"}},
     "experiment": EXPERIMENT_VALUES,
     "portrait": {"n": 2, "phi_range": "1:3", "psi_range": "-1:1",
                  "grid": "6x4", "start": ["2,0.2", "2.5,-0.1"], "traj_t_max": 1.0},
@@ -379,6 +385,16 @@ class TestSystemRegistry:
     def test_flow_accepts_integrator_field(self, capsys, monkeypatch, tmp_path, name, how):
         code, _, err = _run_with_option(capsys, monkeypatch, tmp_path, "flow", name, how)
         assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_flow_has_no_event_tol(self, capsys, tmp_path, how):
+        # flow runs no monitors, so an event tolerance would have no effect
+        option = _set_option(tmp_path, "event_tol", 1e-9, how)
+        code, out, err = run_cli(capsys, *PHASE_FLOW, *option)
+        assert (code, out) == (1, "")
+        reason = {"flag": "unrecognized arguments: --event-tol",
+                  "config": "unknown config key 'event_tol'"}
+        assert reason[how] in err
 
     # the experiment's fields, then the portrait and check options
     @pytest.mark.parametrize("how", ["flag", "config"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -57,6 +58,17 @@ class TestFullSystem:
         with pytest.raises(RangeExceededError):
             rhs_full(make_pn(2), 1e141, 1.0, 1.0)
 
+    @pytest.mark.parametrize("n", [2, 100, 503, 1000])
+    def test_finite_on_the_corners_of_the_guard_box(self, n):
+        # a bound of 1e140 let (1e140, 1e-140, 1e-140) through, which gives nan
+        big = flows._X_LIMIT
+        space = make_pn(n)
+        for xs in itertools.product((1.0 / big, 1.0, big), repeat=3):
+            assert all(map(math.isfinite, rhs_full(space, *xs))), xs
+        for xs in ((math.nextafter(big, math.inf), 1.0, 1.0), (1.0, 1.0, 0.99 / big)):
+            with pytest.raises(RangeExceededError):
+                rhs_full(space, *xs)
+
 
 class TestReducedSystem:
     def test_einstein_point(self):
@@ -85,6 +97,36 @@ class TestReducedSystem:
             rhs_reduced_x(2, 1e80, 1e80)
         with pytest.raises(RangeExceededError):  # x1**2 overflows: a float ** would raise
             rhs_reduced_x(505, 1e200, 1.0)
+
+    @pytest.mark.parametrize("n", sorted({*range(2, 504, 9), 3, 4, 5, 6, 503, 600, 1000}))
+    def test_no_nan_just_inside_the_guard(self, n):
+        # the lower bound on x1*x2 that keeps (x1*x2)**n in range alone lets
+        # x_i / (x1*x2)**n overflow for n <= 6: (2, 1e70, 1e-210) gives nan
+        for x1, x2 in _reduced_guard_edge_points(n):
+            try:
+                values = rhs_reduced_x(n, x1, x2)
+            except RangeExceededError:
+                continue
+            assert all(map(math.isfinite, values)), (n, x1, x2, values)
+
+
+def _reduced_guard_edge_points(n):
+    """Points just inside rhs_reduced_x's guard at ``n``: ``x_i**2`` just
+    below its upper bound, and ``x1*x2`` just above its lower bound, for a
+    spread of ``x1``, and both factors swapped."""
+    lo, hi = flows._reduced_bounds(n)
+    x_hi = math.sqrt(hi)
+    while x_hi * x_hi > hi:
+        x_hi = math.nextafter(x_hi, 0.0)
+    points = [(x_hi, x_hi)]
+    for x1 in np.geomspace(lo / x_hi, x_hi, 13).tolist():
+        x2 = lo / x1
+        for _ in range(3):  # the smallest x2 with x1 * x2 >= lo
+            if x1 * x2 < lo:
+                x2 = math.nextafter(x2, math.inf)
+        for y in (x2, math.nextafter(x2, math.inf), x_hi):
+            points += [(x1, y), (y, x1)]
+    return points
 
 
 class TestPhaseSystem:
@@ -245,6 +287,13 @@ class TestPerNConstants:
         assert bits(flows._phase_values(c, phi, psi)) == bits(_phase_formula(n, phi, psi))
         for p, s in zip(phi.tolist(), psi.tolist()):
             assert bits(flows._phase_values(c, p, s)) == bits(_phase_formula(n, p, s))
+
+    @pytest.mark.parametrize("bad", [1, 2.0, True])
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_field_refuses_n_when_built(self, name, bad):
+        SYSTEMS[name].field(2)
+        with pytest.raises(ValueError, match=f"n must be an integer >= 2, got {bad!r}"):
+            SYSTEMS[name].field(bad)
 
     @pytest.mark.parametrize("bad", [2.0, True])
     def test_non_integer_n_refused_after_a_call_with_2(self, bad):

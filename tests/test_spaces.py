@@ -1,6 +1,7 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from gwflow import (
     volume,
     x3_from_volume_one,
 )
+from gwflow import spaces
 
 positive_scales = st.floats(min_value=0.05, max_value=20.0)
 small_n = st.integers(min_value=2, max_value=8)
@@ -215,6 +217,25 @@ class TestPhaseCoordinates:
             PhasePoint(1.0, 1.5, 2)
         with pytest.raises(ValueError):
             PhasePoint(-1.0, 0.0, 2)
+
+    @given(n=small_n, points=st.lists(
+        st.tuples(st.floats(min_value=0.2, max_value=10.0),
+                  st.floats(min_value=-0.95, max_value=0.95)),
+        min_size=1, max_size=20))
+    @settings(max_examples=80, deadline=None)
+    def test_chart_kernel_is_from_phase_bit_for_bit(self, n, points):
+        # the unguarded chart gives from_phase's floats, whose x3 is
+        # x3_from_volume_one's; on float64 arrays x1 and x2 keep every bit,
+        # and x3 is numpy's power, which may round its last bit otherwise
+        phi = np.array([p for p, _ in points])
+        psi = phi * np.array([u for _, u in points])
+        want = [from_phase(PhasePoint(p, s, n)) for p, s in zip(phi.tolist(), psi.tolist())]
+        assert [spaces._chart_values(n, p, s) for p, s in zip(phi.tolist(), psi.tolist())] == want
+        assert all(x3 == x3_from_volume_one(n, x1, x2) for x1, x2, x3 in want)
+        x1, x2, x3 = spaces._chart_values(n, phi, psi)
+        want_x1, want_x2, want_x3 = np.array(want).T
+        assert x1.tobytes() == want_x1.tobytes() and x2.tobytes() == want_x2.tobytes()
+        np.testing.assert_array_max_ulp(x3, want_x3, maxulp=1)
 
     @given(n=small_n, x1=positive_scales, x2=positive_scales)
     @settings(max_examples=80, deadline=None)
