@@ -197,18 +197,16 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     psi0 = -cfg.epsilon
     pow_exp = 2 * n - 2
 
-    # States are unpacked once with tolist(), so that the arithmetic runs on
-    # floats rather than on numpy scalars.
-    def psi_phi_pow(t: float, y: np.ndarray) -> float:
-        phi, psi = y.tolist()
+    def psi_phi_pow(t: float, y: tuple[float, float]) -> float:
+        phi, psi = y
         return psi * phi ** pow_exp
 
     # the monitors and the per-sample record ask for the same state in turn
     last_state, last_record = None, {}
 
-    def observe(t: float, y: np.ndarray) -> dict[str, float]:
+    def observe(t: float, y: tuple[float, float]) -> dict[str, float]:
         nonlocal last_state, last_record
-        phi, psi = y.tolist()
+        phi, psi = y
         if (phi, psi) != last_state:
             r1, r2, r3 = _phase_ricci_values(n, phi, psi)
             last_state = (phi, psi)
@@ -224,7 +222,7 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         dphi0, _ = rhs_phase(n, N, psi0)
     except RangeExceededError as exc:
         raise BadInitialDataError(f"initial state out of range: {exc}") from None
-    y0 = np.array([N, psi0], dtype=float)
+    y0 = (float(N), float(psi0))
     initial_spectrum = spectrum(**observe(0.0, y0))
     if min(initial_spectrum.values) <= 0:
         raise BadInitialDataError(

@@ -111,10 +111,7 @@ class ReparamInvalidError(InadmissibleStateError):
 def _phase_bounds(n: int) -> tuple[float, float]:
     # n, validated, and the bounds that keep (phi**2 - psi**2)**n or (x1*x2)**n in range
     _require_n(n)
-    try:
-        return RANGE_LIMIT ** (-1.0 / n), RANGE_LIMIT ** (1.0 / n)
-    except OverflowError:  # 1.0 / n, for an n beyond the float range
-        raise ValueError(f"n={n} is too large for a float") from None
+    return RANGE_LIMIT ** (-1.0 / n), RANGE_LIMIT ** (1.0 / n)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 2.0 is still validated, and refused, once 2 is cached

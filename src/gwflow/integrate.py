@@ -22,8 +22,10 @@ source, which tracebacks show too.  The right-hand side still receives
 every stage state as a fresh ndarray; a tuple of floats it returns (as
 gwflow's vector fields do) is used as it is, any other result is copied to
 a list of floats at once, and a result of the wrong length raises
-:class:`ValueError` at that stage.  Monitors and diagnostics receive
-ndarrays, and a :class:`Trajectory` and its events hold ndarrays.
+:class:`ValueError` at that stage.  Monitors and diagnostics receive the
+kernel's own tuple of floats, at accepted states and in-step probes alike
+(``np.asarray(y)`` makes it an array); a :class:`Trajectory` and its
+events hold ndarrays.
 
 The problems integrated here are smooth and non-stiff by construction; when
 a right-hand side reports :class:`~gwflow.flows.RangeExceededError`, or the
@@ -132,7 +134,7 @@ class Monitor:
     """
 
     name: str
-    fn: Callable[[float, np.ndarray], float]
+    fn: Callable[[float, tuple[float, ...]], float]
     level: float = 0.0
     stop: bool = False
 
@@ -265,30 +267,31 @@ def _substep_evaluator(rhs, t0, y0, f0, t1, y1):
     tolerances, which stops before the last (FSAL) stage, since that stage
     serves only the error estimate.
 
-    ``y0`` and ``f0 = rhs(t0, y0)`` may be ndarrays, lists or tuples of
-    floats; the evaluator returns a fresh ndarray.  :func:`integrate` builds
-    one only on a step across which some monitor changes sign.
+    ``y0``, ``y1`` and ``f0 = rhs(t0, y0)`` may be ndarrays, lists or tuples
+    of floats; the evaluator returns tuples of floats.  :func:`integrate`
+    builds one only on a step across which some monitor changes sign.
     """
-    y0 = [float(v) for v in y0]
+    y0 = tuple([float(v) for v in y0])
+    y1 = tuple([float(v) for v in y1])
     f0 = [float(v) for v in f0]
     update = _dopri_kernel(len(y0))
 
-    def interp(t: float) -> np.ndarray:
+    def interp(t: float) -> tuple[float, ...]:
         tau = t - t0
         if tau <= 0.0:
-            return np.array(y0)
+            return y0
         if t >= t1:
-            return np.array(y1, dtype=float)
-        return np.array(update(rhs, t0, y0, f0, tau))
+            return y1
+        return update(rhs, t0, y0, f0, tau)
 
     return interp
 
 
 def locate_sign_change(
-    f: Callable[[float, np.ndarray], float],
+    f: Callable[[float, tuple[float, ...]], float],
     t_lo: float,
     t_hi: float,
-    interpolant: Callable[[float], np.ndarray],
+    interpolant: Callable[[float], tuple[float, ...]],
     event_tol: float = 1e-10,
     g_lo: float | None = None,
     g_hi: float | None = None,
@@ -365,10 +368,9 @@ def integrate(
     initial: Sequence[float] | np.ndarray,
     config: IntegratorConfig,
     monitors: Iterable[Monitor] = (),
-    diagnostics: Callable[[float, np.ndarray], Mapping[str, float]] | None = None,
-    t0: float = 0.0,
+    diagnostics: Callable[[float, tuple[float, ...]], Mapping[str, float]] | None = None,
 ) -> Trajectory:
-    """Integrate ``y' = rhs(t, y)`` from ``initial`` until ``config.t_max``.
+    """Integrate ``y' = rhs(t, y)`` from ``initial`` at ``t = 0`` to ``config.t_max``.
 
     The initial state must satisfy the right-hand side's preconditions (a
     failing initial evaluation raises).  Later guard trips and step-size
@@ -376,10 +378,9 @@ def integrate(
     """
     monitors = list(monitors)
     y_arr = np.array(initial, dtype=float)
-    y = y_arr.tolist()
+    y = tuple(y_arr.tolist())
     step = _dopri_kernel(len(y))
-    t = float(t0)
-    t_end = t0 + config.t_max
+    t, t_end = 0.0, config.t_max
     rel_tol, abs_tol = config.rel_tol, config.abs_tol
 
     ts: list[float] = [t]
@@ -396,8 +397,8 @@ def integrate(
         raise ValueError(f"right-hand side non-finite at the initial point {y_arr}")
     f_now = f0.tolist()
     if diagnostics is not None:
-        diag_rows.append(dict(diagnostics(t, y_arr)))
-    mon_prev = [m.fn(t, y_arr) - m.level for m in monitors]
+        diag_rows.append(dict(diagnostics(t, y)))
+    mon_prev = [m.fn(t, y) - m.level for m in monitors]
 
     h = min(config.initial_step, config.max_step, config.t_max)
     err_old = 1e-4
@@ -445,18 +446,17 @@ def integrate(
 
         steps += 1
         t_new = t_end if final else t + h
-        y_arr = np.array(y_new)  # monitors and diagnostics see ndarrays
 
         stop_ev: Event | None = None
         step_events: list[Event] = []
         try:
-            mon_now = [m.fn(t_new, y_arr) - m.level for m in monitors]
+            mon_now = [m.fn(t_new, y_new) - m.level for m in monitors]
             interp = None
             for i, m in enumerate(monitors):
                 g0, g1 = mon_prev[i], mon_now[i]
                 if g0 * g1 < 0.0:
                     if interp is None:
-                        interp = _substep_evaluator(rhs, t, y, f_now, t_new, y_arr)
+                        interp = _substep_evaluator(rhs, t, y, f_now, t_new, y_new)
                     t_star = locate_sign_change(
                         lambda tt, yy, m=m: m.fn(tt, yy) - m.level,
                         t,
@@ -466,23 +466,24 @@ def integrate(
                         g0,
                         g1,
                     )
-                    ev = Event(m.name, t_star, interp(t_star))
+                    y_star = interp(t_star)
+                    ev = Event(m.name, t_star, np.array(y_star))
                     step_events.append(ev)
                     if m.stop and (stop_ev is None or t_star < stop_ev.t):
-                        stop_ev = ev
+                        stop_ev, stop_y = ev, y_star
             step_events.sort(key=lambda ev: ev.t)
 
             if stop_ev is not None:
                 if diagnostics is not None:
-                    diag_rows.append(dict(diagnostics(stop_ev.t, stop_ev.state)))
+                    diag_rows.append(dict(diagnostics(stop_ev.t, stop_y)))
                 events.extend(ev for ev in step_events if ev.t <= stop_ev.t)
                 ts.append(stop_ev.t)
-                ys.append(stop_ev.state)
+                ys.append(stop_y)
                 termination = Termination.EVENT_STOP
                 break
 
             if diagnostics is not None:
-                diag_rows.append(dict(diagnostics(t_new, y_arr)))
+                diag_rows.append(dict(diagnostics(t_new, y_new)))
         except RangeExceededError:
             termination = Termination.RANGE_EXCEEDED
             break

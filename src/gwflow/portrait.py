@@ -41,12 +41,12 @@ def render_portrait(
     trajectory, drawn until it leaves the window (its last vertex is then
     the located exit on the window's edge), or until the run ends first:
     ``traj_t_max`` of flow time, a blow-up, or the step cap.  A start
-    outside the window or the cone draws nothing, and neither does a start
-    on the window's edge whose flow does not point into the window.  A
-    non-finite window bound or start, or a ``traj_t_max`` that is not
-    positive and finite, is refused with :class:`ValueError`, and so is an
-    ``n`` that :func:`rhs_phase` refuses.  A grid point where the field is
-    not finite draws nothing.
+    outside the window or the cone or refused by :func:`rhs_phase`'s range
+    guard draws nothing, nor does one on the window's edge whose flow does
+    not point into the window.  A non-finite window bound or start, or a
+    ``traj_t_max`` that is not positive and finite, is refused with
+    :class:`ValueError`, and so is an ``n`` that :func:`rhs_phase` refuses.
+    A grid point where the field is not finite draws nothing.
     """
     c = _pn(n)
     phi_min, phi_max = phi_range
@@ -191,21 +191,22 @@ def _trajectory_points(c, phi0, psi0, t_max, phi_min, phi_max, psi_min, psi_max)
         phi, psi = y
         return min(phi - phi_min, phi_max - phi, psi - psi_min, psi_max - psi)
 
-    start_depth = depth(0.0, (phi0, psi0))
-    if start_depth < 0.0:
+    if depth(0.0, (phi0, psi0)) < 0.0:
         return []  # one point draws no polyline
-    if start_depth == 0.0:
-        # on the edge the monitor starts at 0 and never sees a strict sign
-        # change, so a flow that does not point into the box is not drawn
+    try:
         dphi, dpsi = _phase(c, phi0, psi0)
-        edges = (
-            (phi0 - phi_min, dphi),
-            (phi_max - phi0, -dphi),
-            (psi0 - psi_min, dpsi),
-            (psi_max - psi0, -dpsi),
-        )
-        if any(dist == 0.0 and inward <= 0.0 for dist, inward in edges):
-            return []
+    except RangeExceededError:
+        return []  # integrate's first evaluation would raise
+    # on an edge the monitor starts at 0 and never sees a strict sign
+    # change, so a flow that does not point into the box is not drawn
+    edges = (
+        (phi0 - phi_min, dphi),
+        (phi_max - phi0, -dphi),
+        (psi0 - psi_min, dpsi),
+        (psi_max - psi0, -dpsi),
+    )
+    if any(dist == 0.0 and inward <= 0.0 for dist, inward in edges):
+        return []
     cfg = IntegratorConfig(t_max=t_max, rel_tol=1e-8, abs_tol=1e-10, max_steps=20_000)
     traj = integrate(field_phase(c.n), [phi0, psi0], cfg, [Monitor("window", depth, stop=True)])
     points = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -183,6 +184,8 @@ def kn(n: int) -> int:
 def _require_n(n: int) -> None:
     if not (isinstance(n, int) and n >= 2):
         raise ValueError(f"n must be an integer >= 2, got {n!r}")
+    if 8 * n - 4 > sys.float_info.max:  # dim P_n, the largest integer taken as a float
+        raise ValueError(f"n={n} is too large for a float")
 
 
 def _ricci_values(space: GWSpace, x1: float, x2: float, x3: float) -> tuple[float, float, float]:
@@ -216,13 +219,13 @@ def _log_volume(space: GWSpace, metric: Metric) -> float:
 def volume(space: GWSpace, metric: Metric) -> float:
     """Volume functional ``x1**(1/a1) * x2**(1/a2) * x3**(1/a3)``.
 
-    Accumulated in log space: the exponents ``1/a_i`` reach ``2(n+2)`` on
-    ``P_n`` and direct products overflow for moderate scale factors.
+    Accumulated in log space, as the exponents ``1/a_i`` reach ``2(n+2)``
+    on ``P_n``; a volume beyond the float range is ``inf``.
     """
-    log_v = _log_volume(space, metric)
-    if log_v > 709.0:  # exp overflow threshold for doubles
-        raise OverflowError(f"volume exceeds representable range (log V = {log_v})")
-    return math.exp(log_v)
+    try:
+        return math.exp(_log_volume(space, metric))
+    except OverflowError:
+        return math.inf
 
 
 def normalize_to_unit_volume(space: GWSpace, metric: Metric) -> Metric:

@@ -58,6 +58,16 @@ class TestFlowCommand:
             assert abs(float(row["phi"]) - (float(row["t"]) + 10.0)) < 1e-9
             assert float(row["psi"]) < 0
 
+    def test_volume_beyond_the_float_range_reads_inf(self, capsys):
+        # the rhs guard admits scale factors of 1e20, where log V is about 1105
+        code, out, err = run_cli(
+            capsys, "flow", "--system", "full", "--n", "2",
+            "--x1", "1e20", "--x2", "1e20", "--x3", "1e20", "--t-max", "0.05",
+        )
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert len(rows) >= 2 and {row["V"] for row in rows} == {"inf"}
+
     def test_axis_stays_on_axis(self, capsys):
         code, out, _ = run_cli(
             capsys, "flow", "--n", "2", "--system", "phase",
@@ -188,6 +198,7 @@ PORTRAIT = ("portrait", "--n", "2", "--phi-range", "1:3", "--psi-range", "-1:1")
         (("flow", "--n", "1", "--system", "full", "--x1", "1", "--x2", "1", "--x3", "1"), 1,
          "n must be an integer >= 2, got 1"),
         (("check", "--n-max", "1"), 1, "n_max must be an integer >= 2, got 1"),
+        ((*PORTRAIT, "--grid", "15by9"), 1, "--grid must look like NXxNY, got '15by9'"),
     ],
 )
 def test_bad_input_gets_a_reason(capsys, argv, code, reason):
@@ -200,7 +211,7 @@ def test_bad_input_gets_a_reason(capsys, argv, code, reason):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("n", [300, 505, 509, 512, 600])
+@pytest.mark.parametrize("n", [300, 505, 509, 512, 600, pytest.param(10**400, id="10**400")])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -251,6 +262,22 @@ class TestConfigFileValueTypes:
         (key,) = values
         assert err.startswith("gwflow: error:") and repr(key) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["[2.0]", '"flow"', "4"])
+    def test_config_file_must_hold_an_object(self, capsys, tmp_path, text):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, *PHASE_FLOW, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == f"gwflow: error: config file {cfg} must hold a JSON object\n"
+
+    def test_unknown_system_in_the_config_file_is_a_usage_error(self, capsys, tmp_path):
+        # a flag is checked against SYSTEMS by argparse, a config-file entry by cmd_flow
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"system": "ricci"}))
+        code, out, err = run_cli(capsys, "flow", "--n", "2", "--phi", "2", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == "gwflow: error: unknown system 'ricci'\n"
 
     def test_integer_for_a_float_option_gives_the_flag_report(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -443,6 +470,17 @@ class TestExperimentCommand:
         code, _, err = run_cli(capsys, "experiment", "--n", "2", "--N", "2")
         assert code == 3
         assert "N is not large enough" in err or "not positive" in err
+
+    def test_error_termination_exits_2(self, capsys, monkeypatch, tmp_path):
+        # the report is still written; a step cap ends this run early
+        monkeypatch.setattr(
+            ExperimentConfig, "integrator_config",
+            lambda self: IntegratorConfig(t_max=self.t_max, max_steps=5),
+        )
+        out_path = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "experiment", "--n", "2", "--output", str(out_path))
+        assert (code, err) == (2, "")
+        assert json.loads(out_path.read_text())["termination"] == "MaxSteps"
 
     def test_missing_n_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "experiment")

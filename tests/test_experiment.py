@@ -47,6 +47,9 @@ class TestConfig:
             ExperimentConfig(n=512)
         with pytest.raises(ValueError):
             ExperimentConfig(n=2, epsilon=-1e-3)
+        for N in (0.0, -4.0):
+            with pytest.raises(ValueError, match="N must be positive"):
+                ExperimentConfig(n=2, N=N)
         with pytest.raises(ValueError):
             ExperimentConfig(n=2, N=1e-3, epsilon=1e-2)
         with pytest.raises(ValueError):
@@ -84,6 +87,11 @@ class TestRunMechanics:
     def test_small_initial_phi_rejected(self):
         with pytest.raises(BadInitialDataError):
             run_theorem_experiment(ExperimentConfig(n=2, N=2.0))
+
+    def test_non_positive_initial_spectrum_rejected(self):
+        # near the cone's edge r1 and r2 are negative; the phi speed is not the reason
+        with pytest.raises(BadInitialDataError, match="initial spectrum .* not positive"):
+            run_theorem_experiment(ExperimentConfig(n=2, N=1.0, epsilon=0.9))
 
     def test_monitors_read_the_recorded_observer(self, monkeypatch):
         # r3 is recorded for positivity_timeline but not monitored

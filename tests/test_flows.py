@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gwflow import (
     SYSTEMS,
+    InadmissibleStateError,
     Metric,
     PhasePoint,
     RangeExceededError,
@@ -34,6 +35,22 @@ def grid_points():
     for phi in (1.2, 2.0, 3.0, 4.5):
         for u in (-0.8, -0.4, 0.0, 0.3, 0.7):
             yield phi, u * phi
+
+
+@pytest.mark.parametrize(
+    "rhs,state",
+    [(lambda *x: rhs_full(make_pn(2), *x), (1.0, 0.0, 1.0)),
+     (lambda *x: rhs_full(make_pn(2), *x), (1.0, 1.0, -2.0)),
+     (lambda *x: rhs_reduced_x(2, *x), (-1.0, 1.0)),
+     (lambda *x: rhs_reduced_x(2, *x), (1.0, 0.0)),
+     (lambda *x: rhs_submersion(2, *x), (0.0,)),
+     (lambda *x: rhs_submersion(2, *x), (-1.0,))],
+    ids=["full-x2", "full-x3", "reduced-x1", "reduced-x2", "submersion-0", "submersion-neg"],
+)
+def test_state_off_the_domain_is_inadmissible(rhs, state):
+    # the integrator retries such a trial stage with a smaller step
+    with pytest.raises(InadmissibleStateError):
+        rhs(*state)
 
 
 class TestFullSystem:

@@ -296,7 +296,7 @@ class TestLocateSignChange:
         interp = _substep_evaluator(rhs, 0.0, y0, field(0.0, y0), 0.5, y0)
         y_mid = interp(0.25)
         assert len(calls) == 5
-        assert type(y_mid) is np.ndarray and y_mid.shape == (2,)
+        assert type(y_mid) is tuple and [type(v) for v in y_mid] == [float, float]
 
 
 class TestConservationAndInvariance:
@@ -354,6 +354,28 @@ class TestFailureModes:
         traj = integrate(rhs, [0.0], IntegratorConfig(t_max=10.0))
         assert traj.termination is Termination.NON_FINITE
         assert np.all(np.isfinite(traj.y))
+
+    def test_non_finite_initial_rhs_is_refused(self):
+        with pytest.raises(ValueError, match="non-finite at the initial point"):
+            integrate(lambda t, y: (math.nan, 1.0), [0.0, 0.0], IntegratorConfig(t_max=1.0))
+
+    @pytest.mark.parametrize("where", ["monitor", "diagnostics"])
+    def test_range_exceeded_in_a_callback_ends_the_run(self, where):
+        # a guarded evaluation in a monitor or in diagnostics ends the run
+        # like one in the rhs: the samples before the step are kept
+        def guarded(t, y):
+            if y[0] > 2.0:
+                raise RangeExceededError("guard")
+            return y[0] - 10.0
+
+        monitors = [Monitor("far", guarded)] if where == "monitor" else []
+        diagnostics = (lambda t, y: {"v": guarded(t, y)}) if where == "diagnostics" else None
+        cfg = IntegratorConfig(t_max=10.0, max_step=0.5)
+        traj = integrate(constant_field([1.0]), [0.0], cfg, monitors, diagnostics)
+        assert traj.termination is Termination.RANGE_EXCEEDED
+        assert 1.5 <= traj.y[-1, 0] <= 2.0 and traj.events == []
+        if diagnostics is not None:
+            assert traj.diagnostics["v"].tolist() == (traj.y[:, 0] - 10.0).tolist()
 
     def test_diagnostics_recorded_per_sample(self):
         diag = lambda t, y: {"double": 2.0 * y[0]}
@@ -446,23 +468,25 @@ def coupled_field(dim):
 
 
 class TestFloatKernel:
-    def test_callbacks_receive_ndarrays(self):
+    def test_callbacks_receive_float_tuples(self):
+        # the rhs gets an ndarray per stage; monitors and diagnostics get the
+        # kernel's tuple of floats at accepted states, in-step probes and the stop
         seen = []
 
         def rhs(t, y):
-            seen.append(("rhs", y))
+            seen.append(("rhs", t, y))
             return np.array([1.0, -0.5 * y[1]])
 
         def mon(t, y):
-            seen.append(("monitor", y))
-            return y[0] - 0.55
+            seen.append(("monitor", t, y))
+            return y[1] - 0.75  # crosses at t = 2 ln(4/3), off every step's end
 
         def stop(t, y):
-            seen.append(("stop", y))
+            seen.append(("stop", t, y))
             return y[0] - 1.05
 
         def diag(t, y):
-            seen.append(("diagnostics", y))
+            seen.append(("diagnostics", t, y))
             return {"psi": y[1]}
 
         traj = integrate(
@@ -470,11 +494,21 @@ class TestFloatKernel:
             [Monitor("half", mon), Monitor("end", stop, stop=True)], diag,
         )
         assert [ev.name for ev in traj.events] == ["half", "end"]
-        assert {who for who, _ in seen} == {"rhs", "monitor", "stop", "diagnostics"}
-        for who, y in seen:
-            assert type(y) is np.ndarray and y.dtype == np.float64 and y.shape == (2,), who
+        assert traj.termination is Termination.EVENT_STOP
+        assert {who for who, _, _ in seen} == {"rhs", "monitor", "stop", "diagnostics"}
+        for who, _, y in seen:
+            if who == "rhs":
+                assert type(y) is np.ndarray and y.dtype == np.float64 and y.shape == (2,)
+            else:
+                assert type(y) is tuple and [type(v) for v in y] == [float, float], who
+        samples = set(traj.t.tolist())
+        probes = [t for who, t, _ in seen if who in ("monitor", "stop") and t not in samples]
+        assert probes  # Brent's in-step probes
+        stop_t = traj.events[-1].t
+        assert traj.t[-1] == stop_t
+        assert [t for who, t, _ in seen if who == "diagnostics"] == traj.t.tolist()
         # every stage state is a fresh array
-        stage_states = [y for who, y in seen if who == "rhs"]
+        stage_states = [y for who, _, y in seen if who == "rhs"]
         assert len({id(y) for y in stage_states}) == len(stage_states)
         assert type(traj.y) is np.ndarray and traj.y.shape == (len(traj), 2)
         assert type(traj.t) is np.ndarray
@@ -488,8 +522,9 @@ class TestFloatKernel:
         t0, h = 0.25, 0.1
         y0 = np.linspace(0.5, 1.5, dim)
         cfg = IntegratorConfig(t_max=1.0, initial_step=h, rel_tol=1e-3, abs_tol=1e-3, max_steps=1)
-        traj = integrate(f, y0, cfg, t0=t0)
-        assert traj.t[1] == t0 + h  # the first trial step was accepted
+        # integrate starts at t = 0: the field shifted by t0 runs f from t0
+        traj = integrate(lambda t, y: f(t + t0, y), y0, cfg)
+        assert traj.t[1] == h  # the first trial step was accepted
 
         k = np.zeros((7, dim))
         k[0] = f(t0, y0)
@@ -588,7 +623,7 @@ class TestGeneratedKernels:
                 ref = reference_update(
                     rhs, t0, y0.tolist(), np.asarray(f0, dtype=float).tolist(), t - t0
                 )[0]
-                assert interp(t).tobytes() == bits(ref)
+                assert bits(interp(t)) == bits(ref)
 
     def test_kernel_source_is_shown(self):
         source = inspect.getsource(_dopri_kernel(2))

@@ -89,6 +89,28 @@ def test_start_on_the_edge_entering_the_window_is_drawn(recorded):
     assert svg.count("<polyline") == 1
 
 
+def test_start_outside_the_cone_is_not_integrated(recorded):
+    svg = portrait.render_portrait(2, PHI_RANGE, PSI_RANGE, starts=((1.0, 2.0),))
+    assert recorded == []
+    assert "<polyline" not in svg
+
+
+@pytest.mark.parametrize("n,start", [(200, (6.0, 0.1)), (503, (2.0, 0.1))])
+def test_start_refused_by_the_range_guard_is_not_integrated(recorded, n, start):
+    # (phi^2 - psi^2)^n is out of range there, so integrate would raise
+    with pytest.raises(RangeExceededError):
+        rhs_phase(n, *start)
+    svg = portrait.render_portrait(n, (0.0, 8.0), (-3.0, 3.0), grid=(2, 1), starts=(start,))
+    assert recorded == []
+    assert "<polyline" not in svg
+
+
+@pytest.mark.parametrize("grid", [(1, 9), (15, 0), (0, 0)])
+def test_grid_below_two_by_one_is_refused(grid):
+    with pytest.raises(ValueError, match="grid must be at least 2x1"):
+        portrait.render_portrait(2, PHI_RANGE, PSI_RANGE, grid=grid)
+
+
 @pytest.mark.parametrize("n", [1, 2.0, 505])
 def test_n_is_refused_as_rhs_phase_refuses_it(n):
     # n = 1 used to render a portrait with no arrows

@@ -24,7 +24,7 @@ from gwflow import (
     volume,
     x3_from_volume_one,
 )
-from gwflow import spaces
+from gwflow import flows, spaces
 
 positive_scales = st.floats(min_value=0.05, max_value=20.0)
 small_n = st.integers(min_value=2, max_value=8)
@@ -67,6 +67,25 @@ class TestMakePn:
     def test_rejects_bad_n(self, bad):
         with pytest.raises(ValueError):
             make_pn(bad)
+
+    @pytest.mark.parametrize(
+        "make",
+        [make_pn, kn, lambda n: x3_from_volume_one(n, 0.7, 0.6), lambda n: PhasePoint(2.0, 0.1, n),
+         flows._pn, flows._reduced_bounds],
+        ids=["make_pn", "kn", "x3_from_volume_one", "PhasePoint", "_pn", "_reduced_bounds"],
+    )
+    @pytest.mark.parametrize(
+        "n", [10**400, (int(sys.float_info.max) + 4) // 8 + 1], ids=["10**400", "dim-beyond-max"]
+    )
+    def test_n_beyond_the_float_range_is_refused_with_one_reason(self, make, n):
+        # 8n - 4, the dimension of P_n, would not be a float; one check in
+        # _require_n refuses such an n before any arithmetic can overflow
+        with pytest.raises(ValueError, match=f"^n={n} is too large for a float$"):
+            make(n)
+
+    def test_largest_n_taken_as_a_float_is_admitted(self):
+        n = (int(sys.float_info.max) + 4) // 8
+        assert make_pn(n).d == 8 * n - 4
 
     @pytest.mark.parametrize("n", [2, 3, 7])
     def test_built_once_per_n(self, n):
@@ -170,6 +189,16 @@ class TestVolume:
     def test_p3_balanced(self):
         assert volume(make_pn(3), Metric(2, 0.5, 1)) == pytest.approx(1.0, rel=1e-12)
 
+    def test_beyond_the_float_range_is_inf(self):
+        # log V = 24 * ln(1e20), about 1105
+        assert volume(make_pn(2), Metric(1e20, 1e20, 1e20)) == math.inf
+
+    def test_finite_up_to_the_float_range(self):
+        # log V = 709.5, just below the overflow of exp near 709.78
+        x = math.exp(709.5 / 24)
+        v = volume(make_pn(2), Metric(x, x, x))
+        assert math.isfinite(v) and math.log(v) == pytest.approx(709.5, rel=1e-14)
+
     def test_no_overflow_at_large_scales(self):
         v = volume(make_pn(6), Metric(1e3, 1e3, 1.0))
         assert math.isfinite(math.log(v)) or v == math.inf  # log-space path
@@ -206,6 +235,12 @@ class TestPhaseCoordinates:
     def test_to_phase(self):
         p = to_phase(2, 3, 1)
         assert (p.phi, p.psi) == (4.0, 2.0)
+
+    @pytest.mark.parametrize("x1,x2", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0)])
+    @pytest.mark.parametrize("chart", [x3_from_volume_one, to_phase])
+    def test_non_positive_scale_factor_is_refused(self, chart, x1, x2):
+        with pytest.raises(ValueError, match="x1, x2 must be positive"):
+            chart(2, x1, x2)
 
     def test_from_phase(self):
         assert from_phase(PhasePoint(4.0, 2.0, 2)) == pytest.approx(
