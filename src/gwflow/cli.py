@@ -260,7 +260,14 @@ def cmd_flow(opts: dict, output: str | None) -> int:
         raise _UsageError(f"invalid initial state: {exc}")
 
     _write_text(output, "\n".join(_csv_lines(system, n, traj)) + "\n")
-    return 0 if traj.termination in (Termination.REACHED_TMAX, Termination.EVENT_STOP) else 2
+    if traj.termination in (Termination.REACHED_TMAX, Termination.EVENT_STOP):
+        return 0
+    print(
+        f"gwflow flow: run ended in {traj.termination.value} at t={traj.t[-1]:.17g}; "
+        "the CSV holds the samples up to there",
+        file=sys.stderr,
+    )
+    return 2
 
 
 def cmd_experiment(opts: dict, output: str | None) -> int:

@@ -17,8 +17,11 @@ turns finite-time blow-up of the original system into linear growth
 
 :data:`SYSTEMS` names the five formulations with their state components and
 integrator-ready vector fields (the ``field_*`` constructors); the CLI reads
-every per-system fact from it.  A vector field maps ``(t, y)``, ``y`` an
-ndarray, to the derivative as a tuple of floats.
+every per-system fact from it.  A vector field maps ``(t, y)`` to the
+derivative as a tuple of Python floats.  It unpacks a tuple ``y`` as it is,
+the form :func:`~gwflow.integrate.integrate` hands it, so such a tuple must
+hold Python floats; any other ``y`` (a list, an ndarray) is converted to
+floats once.  Either way the field gives the same bits.
 
 The formulas of :func:`rhs_full`, :func:`rhs_reduced_x` and :func:`rhs_phase`
 live in unguarded kernels (``_full_values``, ``_reduced_values``,
@@ -53,7 +56,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -84,7 +87,13 @@ RANGE_LIMIT = 1e280
 # L/2 + 3 L**3 / 4; the trace term, twice a weighted mean of the r_i, is at
 # most 2 max|r_i|, so |x_i'| <= 4 max|r_i| L <= 3 L**4 + 2 L**2, below 4e304
 _X_LIMIT = 1e76
-Field = Callable[[float, np.ndarray], tuple[float, ...]]  # (t, state) -> derivative
+# (t, state) -> derivative; the state a tuple of Python floats, a list or an ndarray
+Field = Callable[[float, Sequence[float] | np.ndarray], tuple[float, ...]]
+
+
+def _floats(y) -> list[float]:
+    # a state or derivative that is not a tuple (a list, an ndarray) as Python floats
+    return np.asarray(y, dtype=float).tolist()
 
 
 class RangeExceededError(ArithmeticError):
@@ -284,8 +293,8 @@ def submersion_fixed_points(n: int) -> tuple[float, float]:
 def field_full(space: GWSpace) -> Field:
     """Vector field for :func:`rhs_full` (state ``[x1, x2, x3]``), returning its tuple."""
 
-    def f(t: float, y: np.ndarray) -> tuple[float, float, float]:
-        x1, x2, x3 = y.tolist()
+    def f(t: float, y: Sequence[float] | np.ndarray) -> tuple[float, float, float]:
+        x1, x2, x3 = y if type(y) is tuple else _floats(y)
         return rhs_full(space, x1, x2, x3)
 
     return f
@@ -295,8 +304,8 @@ def field_reduced(n: int) -> Field:
     """Vector field for :func:`rhs_reduced_x` (state ``[x1, x2]``), returning its tuple."""
     _reduced_bounds(n)  # refuses n before the run, as field_phase does
 
-    def f(t: float, y: np.ndarray) -> tuple[float, float]:
-        x1, x2 = y.tolist()
+    def f(t: float, y: Sequence[float] | np.ndarray) -> tuple[float, float]:
+        x1, x2 = y if type(y) is tuple else _floats(y)
         return rhs_reduced_x(n, x1, x2)
 
     return f
@@ -306,8 +315,8 @@ def field_phase(n: int) -> Field:
     """Vector field for :func:`rhs_phase` (state ``[phi, psi]``), returning its tuple."""
     c = _pn(n)
 
-    def f(t: float, y: np.ndarray) -> tuple[float, float]:
-        phi, psi = y.tolist()
+    def f(t: float, y: Sequence[float] | np.ndarray) -> tuple[float, float]:
+        phi, psi = y if type(y) is tuple else _floats(y)
         return _phase(c, phi, psi)
 
     return f
@@ -317,8 +326,8 @@ def field_reparam(n: int) -> Field:
     """Vector field for :func:`rhs_reparam` (state ``[phi, psi]``), returning its tuple."""
     c = _pn(n)
 
-    def f(t: float, y: np.ndarray) -> tuple[float, float]:
-        phi, psi = y.tolist()
+    def f(t: float, y: Sequence[float] | np.ndarray) -> tuple[float, float]:
+        phi, psi = y if type(y) is tuple else _floats(y)
         return _reparam(c, phi, psi)
 
     return f
@@ -328,8 +337,8 @@ def field_submersion(n: int) -> Field:
     """Vector field for :func:`rhs_submersion` (state ``[phi]``), returning ``(phi',)``."""
     _pn(n)  # refuses n before the run, as field_phase does
 
-    def f(t: float, y: np.ndarray) -> tuple[float]:
-        (phi,) = y.tolist()
+    def f(t: float, y: Sequence[float] | np.ndarray) -> tuple[float]:
+        (phi,) = y if type(y) is tuple else _floats(y)
         return (rhs_submersion(n, phi),)
 
     return f

@@ -16,16 +16,18 @@ floats, in a kernel generated per state dimension from the Dormand-Prince
 tableau (``_dopri_kernel``): every stage state, the 5th-order update, the
 error estimate and its norm are written out component by component as
 scalar expressions, with no loop and no list in between.  The kernel is
-compiled once per process and dimension, when a run of that dimension
-first needs it; ``print(inspect.getsource(_dopri_kernel(2)))`` shows its
-source, which tracebacks show too.  The right-hand side still receives
-every stage state as a fresh ndarray; a tuple of floats it returns (as
-gwflow's vector fields do) is used as it is, any other result is copied to
-a list of floats at once, and a result of the wrong length raises
-:class:`ValueError` at that stage.  Monitors and diagnostics receive the
-kernel's own tuple of floats, at accepted states and in-step probes alike
-(``np.asarray(y)`` makes it an array); a :class:`Trajectory` and its
-events hold ndarrays.
+compiled once per process, dimension and stage-state form, when a run
+first needs it; ``print(inspect.getsource(_dopri_kernel(2, False)))`` shows
+its source, which tracebacks show too.  The right-hand side receives every
+state as the kernel's own tuple of Python floats, as gwflow's vector
+fields take it; only a run whose ``initial`` is an ndarray hands it a fresh
+ndarray per stage instead.  A tuple the right-hand side returns (as
+gwflow's vector fields do) is used as it is, so it must hold Python
+floats; any other result is copied to a list of floats at once, and a
+result of the wrong length raises :class:`ValueError` at that stage.
+Monitors and diagnostics receive the kernel's tuple of floats too, at
+accepted states and in-step probes alike (``np.asarray(y)`` makes it an
+array); a :class:`Trajectory` and its events hold ndarrays.
 
 The problems integrated here are smooth and non-stiff by construction; when
 a right-hand side reports :class:`~gwflow.flows.RangeExceededError`, or the
@@ -44,7 +46,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .flows import InadmissibleStateError, RangeExceededError
+from .flows import InadmissibleStateError, RangeExceededError, _floats
 
 __all__ = [
     "Termination",
@@ -103,7 +105,10 @@ class IntegratorConfig:
     ulp of ``t`` exceeds it).  Every tolerance and limit must be positive and
     finite, except ``max_step``, which may be infinite (no cap): an infinite
     ``t_max`` would let the step size overflow to ``inf``, where every trial
-    step is non-finite and halving it never ends.
+    step is non-finite and halving it never ends.  ``initial_step`` and
+    ``max_step`` must be at least ``MIN_STEP``, below which every run would
+    end at ``t = 0`` in step-size underflow; a shorter ``t_max`` is taken as
+    the final step and runs.
     """
 
     t_max: float
@@ -119,8 +124,10 @@ class IntegratorConfig:
             v = getattr(self, name)
             if not 0 < v < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
-        if not self.max_step > 0:
-            raise ValueError(f"max_step must be positive, got {self.max_step}")
+        for name in ("initial_step", "max_step"):
+            v = getattr(self, name)
+            if not v >= MIN_STEP:
+                raise ValueError(f"{name} must be at least {MIN_STEP}, got {v}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
@@ -173,12 +180,15 @@ class Trajectory:
         return None
 
 
-def _kernel_source(dim: int) -> str:
+def _kernel_source(dim: int, arrays: bool) -> str:
     """Python source of the Dormand-Prince step for states of ``dim``
     components, every state, stage and sum written out per component.  Each
     sum adds its terms in the tableau's order, as a loop over components
-    would, so the kernels give that loop's bits."""
+    would, so the kernels give that loop's bits.  ``arrays`` only changes
+    what ``rhs`` is handed: each stage state wrapped in a fresh ndarray, or
+    the bare tuple of floats."""
     comps = range(dim)
+    open_, close = ("array([", "])") if arrays else ("(", ")")
 
     def names(fmt: str) -> str:  # "y0, y1," for fmt "y{i}": a tuple even for dim 1
         return ", ".join(fmt.format(i=i) for i in comps) + ","
@@ -195,15 +205,16 @@ def _kernel_source(dim: int) -> str:
         f"    {names('k1_{i}')} = k1",
     ]
     for j in range(2, 7):
-        lines.append(f"    k = rhs({time(j)}, array([")
+        lines.append(f"    k = rhs({time(j)}, {open_}")
         lines += [f"        y{i} + h * ({combination(_A[j - 1], i)})," for i in comps]
-        lines.append("    ]))")
+        lines.append(f"    {close})")
         lines.append(f"    {names(f'k{j}_{{i}}')} = k if type(k) is tuple else floats(k)")
     lines += [f"    z{i} = y{i} + h * ({combination(_B, i)})" for i in comps]
     lines += [
+        f"    z = {names('z{i}')}",
         "    if abs_tol is None:",
-        f"        return {names('z{i}')}",
-        f"    k7 = rhs({time(7)}, array([{names('z{i}')}]))",
+        "        return z",
+        f"    k7 = rhs({time(7)}, {'array(z)' if arrays else 'z'})",
         "    if type(k7) is not tuple:",
         "        k7 = floats(k7)",
         f"    {names('k7_{i}')} = k7",
@@ -212,7 +223,7 @@ def _kernel_source(dim: int) -> str:
     finite = " and ".join(f"isfinite({v}{i})" for v in "ze" for i in comps)
     lines += [
         f"    if not ({finite}):",
-        f"        return ({names('z{i}')}), k7, None",
+        "        return z, k7, None",
     ]
     # RMS of the error relative to abs_tol + rel_tol * max(|y|, |y_new|);
     # sum() is compensated from Python 3.12 on, so it stays a sum()
@@ -220,34 +231,37 @@ def _kernel_source(dim: int) -> str:
         f"    q{i} = e{i} / (abs_tol + rel_tol * max(abs(y{i}), abs(z{i})))" for i in comps
     ]
     squares = ", ".join(f"q{i} * q{i}" for i in comps)
-    lines.append(f"    return ({names('z{i}')}), k7, sqrt(sum([{squares}]) / {dim})")
+    lines.append(f"    return z, k7, sqrt(sum([{squares}]) / {dim})")
     return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=None)
-def _dopri_kernel(dim: int):
+def _dopri_kernel(dim: int, arrays: bool):
     """The Dormand-Prince step for states of ``dim`` components, generated
-    from the tableau once per process and dimension.
+    from the tableau once per process, dimension and stage-state form.
 
     ``kernel(rhs, t, y, k1, h, abs_tol, rel_tol)`` takes ``y`` and
     ``k1 = rhs(t, y)`` as sequences of ``dim`` floats and makes six ``rhs``
-    calls, each handed a fresh ndarray.  It returns the 5th-order solution
+    calls, each handed the stage state as a tuple of Python floats, or as a
+    fresh ndarray when ``arrays`` is set.  It returns the 5th-order solution
     (the last stage's state) as a tuple of floats, the last stage (the
     derivative there) and the RMS error norm, or ``None`` for the norm when
-    the solution or the error estimate is not finite.  A stage is ``rhs``'s
-    tuple, or else a list-of-floats copy; one of the wrong length raises
-    :class:`ValueError`.  ``kernel(rhs, t, y, k1, h)`` stops after five calls
-    and returns the 5th-order solution alone.
+    the solution or the error estimate is not finite.  A stage that ``rhs``
+    returns as a tuple is taken as it is, so it must hold Python floats; any
+    other result is copied to a list of floats.  A stage of the wrong length
+    raises :class:`ValueError`.  ``kernel(rhs, t, y, k1, h)`` stops after
+    five calls and returns the 5th-order solution alone.
 
     The source is registered with :mod:`linecache`, so tracebacks show its
-    lines and ``inspect.getsource(_dopri_kernel(2))`` prints it.
+    lines and ``inspect.getsource(_dopri_kernel(2, False))`` prints it.
     """
-    source = _kernel_source(dim)
-    filename = f"<gwflow.integrate Dormand-Prince kernel, dim {dim}>"
+    source = _kernel_source(dim, arrays)
+    form = "ndarray" if arrays else "tuple"
+    filename = f"<gwflow.integrate Dormand-Prince kernel, dim {dim}, {form} stage states>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {
         "array": np.array,
-        "floats": lambda k: np.asarray(k, dtype=float).tolist(),
+        "floats": _floats,
         "isfinite": math.isfinite,
         "sqrt": math.sqrt,
     }
@@ -255,7 +269,7 @@ def _dopri_kernel(dim: int):
     return namespace[f"dopri5_dim{dim}"]
 
 
-def _substep_evaluator(rhs, t0, y0, f0, t1, y1):
+def _substep_evaluator(rhs, t0, y0, f0, t1, y1, arrays=False):
     """In-step state evaluator: one full-order stage pass from ``(t0, y0)``.
 
     A cubic Hermite interpolant is an order short here: the controller takes
@@ -268,13 +282,15 @@ def _substep_evaluator(rhs, t0, y0, f0, t1, y1):
     serves only the error estimate.
 
     ``y0``, ``y1`` and ``f0 = rhs(t0, y0)`` may be ndarrays, lists or tuples
-    of floats; the evaluator returns tuples of floats.  :func:`integrate`
-    builds one only on a step across which some monitor changes sign.
+    of floats; the evaluator returns tuples of floats.  ``rhs`` is handed
+    its stage states as :func:`integrate`'s run hands them: tuples of floats,
+    or fresh ndarrays when ``arrays`` is set.  :func:`integrate` builds an
+    evaluator only on a step across which some monitor changes sign.
     """
     y0 = tuple([float(v) for v in y0])
     y1 = tuple([float(v) for v in y1])
     f0 = [float(v) for v in f0]
-    update = _dopri_kernel(len(y0))
+    update = _dopri_kernel(len(y0), arrays)
 
     def interp(t: float) -> tuple[float, ...]:
         tau = t - t0
@@ -364,7 +380,7 @@ def locate_sign_change(
 
 
 def integrate(
-    rhs: Callable[[float, np.ndarray], Sequence[float] | np.ndarray],
+    rhs: Callable[[float, tuple[float, ...] | np.ndarray], Sequence[float] | np.ndarray],
     initial: Sequence[float] | np.ndarray,
     config: IntegratorConfig,
     monitors: Iterable[Monitor] = (),
@@ -372,14 +388,17 @@ def integrate(
 ) -> Trajectory:
     """Integrate ``y' = rhs(t, y)`` from ``initial`` at ``t = 0`` to ``config.t_max``.
 
-    The initial state must satisfy the right-hand side's preconditions (a
-    failing initial evaluation raises).  Later guard trips and step-size
-    underflow terminate the run gracefully with the reason recorded.
+    ``rhs`` is handed every state as a tuple of Python floats, or, when
+    ``initial`` is an ndarray, as a fresh ndarray.  The initial state must
+    satisfy the right-hand side's preconditions (a failing initial
+    evaluation raises).  Later guard trips and step-size underflow
+    terminate the run gracefully with the reason recorded.
     """
     monitors = list(monitors)
+    arrays = isinstance(initial, np.ndarray)
     y_arr = np.array(initial, dtype=float)
     y = tuple(y_arr.tolist())
-    step = _dopri_kernel(len(y))
+    step = _dopri_kernel(len(y), arrays)
     t, t_end = 0.0, config.t_max
     rel_tol, abs_tol = config.rel_tol, config.abs_tol
 
@@ -388,7 +407,7 @@ def integrate(
     diag_rows: list[Mapping[str, float]] = []
     events: list[Event] = []
 
-    f0 = np.asarray(rhs(t, y_arr), dtype=float)
+    f0 = np.asarray(rhs(t, y_arr if arrays else y), dtype=float)
     if f0.shape != y_arr.shape:
         raise ValueError(
             f"right-hand side has shape {f0.shape} for a state of shape {y_arr.shape}"
@@ -456,7 +475,7 @@ def integrate(
                 g0, g1 = mon_prev[i], mon_now[i]
                 if g0 * g1 < 0.0:
                     if interp is None:
-                        interp = _substep_evaluator(rhs, t, y, f_now, t_new, y_new)
+                        interp = _substep_evaluator(rhs, t, y, f_now, t_new, y_new, arrays)
                     t_star = locate_sign_change(
                         lambda tt, yy, m=m: m.fn(tt, yy) - m.level,
                         t,

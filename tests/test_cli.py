@@ -104,14 +104,20 @@ class TestFlowCommand:
             assert ",".join(cells) == line
 
     def test_integrator_error_exit_code(self, capsys):
-        # the original-time system blows up long before t_max
-        code, out, _ = run_cli(
+        # the original-time system blows up long before t_max; the CSV holds
+        # the run up to there, and stderr says why it stopped
+        code, out, err = run_cli(
             capsys, "flow", "--n", "2", "--system", "phase",
             "--phi", "4", "--psi", "-0.001", "--t-max", "10",
         )
         assert code == 2
         _, rows = parse_csv(out)
         assert all(float(row["psi"]) < 0 for row in rows)
+        assert err == (
+            f"gwflow flow: run ended in StepUnderflow at t={rows[-1]['t']}; "
+            "the CSV holds the samples up to there\n"
+        )
+        assert 0.5 < float(rows[-1]["t"]) < 0.6
 
     def test_reparam_run_ends_where_phi_speed_vanishes(self, capsys):
         # the start is admissible (phi' = 0.73); the run climbs the axis to the
@@ -120,8 +126,11 @@ class TestFlowCommand:
             capsys, "flow", "--n", "2", "--system", "reparam", "--phi", "1.0", "--psi", "0",
         )
         assert code == 2
-        assert err == ""
         _, rows = parse_csv(out)
+        assert err == (
+            f"gwflow flow: run ended in StepUnderflow at t={rows[-1]['t']}; "
+            "the CSV holds the samples up to there\n"
+        )
         assert len(rows) > 1
         assert abs(float(rows[-1]["phi"]) - submersion_fixed_points(2)[0]) < 1e-9
 
@@ -199,6 +208,10 @@ PORTRAIT = ("portrait", "--n", "2", "--phi-range", "1:3", "--psi-range", "-1:1")
          "n must be an integer >= 2, got 1"),
         (("check", "--n-max", "1"), 1, "n_max must be an integer >= 2, got 1"),
         ((*PORTRAIT, "--grid", "15by9"), 1, "--grid must look like NXxNY, got '15by9'"),
+        # a step cap or first step below MIN_STEP would end the run at t = 0
+        ((*PHASE_FLOW, "--max-step", "1e-20"), 1, "max_step must be at least 1e-14, got 1e-20"),
+        ((*PHASE_FLOW, "--initial-step", "1e-20"), 1,
+         "initial_step must be at least 1e-14, got 1e-20"),
     ],
 )
 def test_bad_input_gets_a_reason(capsys, argv, code, reason):

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from gwflow import (
     SYSTEMS,
     InadmissibleStateError,
+    IntegratorConfig,
     Metric,
     PhasePoint,
     RangeExceededError,
     ReparamInvalidError,
     field_reparam,
     from_phase,
+    integrate,
     make_pn,
     rhs_full,
     rhs_phase,
@@ -391,10 +393,27 @@ def _guard_edge_points(n):
 class TestVectorFields:
     @pytest.mark.parametrize("name", list(SYSTEMS))
     def test_field_returns_a_tuple_of_floats(self, name):
+        # for the integrator's tuple, a list and an ndarray alike, with the same bits
         n, phi, psi = 3, 2.5, -0.3
         x1, x2 = 0.5 * (phi + psi), 0.5 * (phi - psi)
         values = {"x1": x1, "x2": x2, "x3": x3_from_volume_one(n, x1, x2), "phi": phi, "psi": psi}
         system = SYSTEMS[name]
-        out = system.field(n)(0.0, np.array([values[k] for k in system.state]))
-        assert type(out) is tuple and len(out) == len(system.state)
-        assert all(type(v) is float for v in out)
+        state = [values[k] for k in system.state]
+        outs = [system.field(n)(0.0, y) for y in (tuple(state), state, np.array(state))]
+        for out in outs:
+            assert type(out) is tuple and len(out) == len(system.state)
+            assert all(type(v) is float for v in out)
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_list_and_ndarray_starts_give_the_same_trajectory(self, name, n):
+        # a list start hands the field tuples, an ndarray start ndarrays
+        starts = {"phi": 3.0, "psi": -0.2, "x1": 1.1, "x2": 0.9, "x3": 1.0 / (1.1 * 0.9)}
+        y0 = [starts[k] for k in SYSTEMS[name].state]
+        cfg = IntegratorConfig(t_max=0.5)
+        runs = [integrate(SYSTEMS[name].field(n), y, cfg) for y in (y0, np.array(y0))]
+        assert len(runs[0]) > 5
+        assert runs[1].termination is runs[0].termination
+        assert runs[1].t.tobytes() == runs[0].t.tobytes()
+        assert runs[1].y.tobytes() == runs[0].y.tobytes()

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from gwflow import (
     x3_from_volume_one,
 )
 from gwflow import ExperimentConfig, experiment, run_theorem_experiment
-from gwflow.integrate import _dopri_kernel, _substep_evaluator
+from gwflow.integrate import MIN_STEP, _dopri_kernel, _substep_evaluator
 from gwflow.spaces import _phase_ricci_values
 
 
@@ -71,6 +72,7 @@ class TestConfig:
             {"t_max": 1.0, "rel_tol": 0.0},
             {"t_max": 1.0, "event_tol": -1e-3},
             {"t_max": 1.0, "max_steps": 0},
+            {"t_max": 1.0, "max_step": math.nan},
         ],
     )
     def test_validation(self, kwargs):
@@ -88,6 +90,20 @@ class TestConfig:
     def test_non_finite_tolerance_is_refused(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             IntegratorConfig(t_max=1.0, **{name: value})
+
+    @pytest.mark.parametrize("name", ["initial_step", "max_step"])
+    @pytest.mark.parametrize("value", [1e-20, MIN_STEP / 2])
+    def test_step_below_min_step_is_refused(self, name, value):
+        # every run would end at t = 0 in step-size underflow
+        with pytest.raises(ValueError, match=f"{name} must be at least 1e-14, got {value}"):
+            IntegratorConfig(t_max=1.0, **{name: value})
+        assert getattr(IntegratorConfig(t_max=1.0, **{name: MIN_STEP}), name) == MIN_STEP
+
+    def test_t_max_below_min_step_runs(self):
+        # a short horizon is the final step, not an underflow
+        traj = integrate(field_phase(2), [2.0, 0.0], IntegratorConfig(t_max=1e-20))
+        assert traj.termination is Termination.REACHED_TMAX
+        assert traj.t.tolist() == [0.0, 1e-20]
 
 
 class TestBasicRuns:
@@ -469,8 +485,9 @@ def coupled_field(dim):
 
 class TestFloatKernel:
     def test_callbacks_receive_float_tuples(self):
-        # the rhs gets an ndarray per stage; monitors and diagnostics get the
-        # kernel's tuple of floats at accepted states, in-step probes and the stop
+        # from a list initial, the rhs, the monitors and diagnostics all get
+        # the kernel's tuple of floats: at every stage, accepted state,
+        # in-step probe and the stop
         seen = []
 
         def rhs(t, y):
@@ -497,24 +514,68 @@ class TestFloatKernel:
         assert traj.termination is Termination.EVENT_STOP
         assert {who for who, _, _ in seen} == {"rhs", "monitor", "stop", "diagnostics"}
         for who, _, y in seen:
-            if who == "rhs":
-                assert type(y) is np.ndarray and y.dtype == np.float64 and y.shape == (2,)
-            else:
-                assert type(y) is tuple and [type(v) for v in y] == [float, float], who
+            assert type(y) is tuple and [type(v) for v in y] == [float, float], who
         samples = set(traj.t.tolist())
         probes = [t for who, t, _ in seen if who in ("monitor", "stop") and t not in samples]
         assert probes  # Brent's in-step probes
         stop_t = traj.events[-1].t
         assert traj.t[-1] == stop_t
         assert [t for who, t, _ in seen if who == "diagnostics"] == traj.t.tolist()
-        # every stage state is a fresh array
-        stage_states = [y for who, _, y in seen if who == "rhs"]
-        assert len({id(y) for y in stage_states}) == len(stage_states)
         assert type(traj.y) is np.ndarray and traj.y.shape == (len(traj), 2)
         assert type(traj.t) is np.ndarray
         for ev in traj.events:
             assert type(ev.state) is np.ndarray and ev.state.shape == (2,)
         assert all(type(v) is np.ndarray for v in traj.diagnostics.values())
+
+    @pytest.mark.parametrize(
+        "result",
+        [np.array, list, lambda v: [np.float64(x) for x in v]],
+        ids=["ndarray", "list", "list of float64"],
+    )
+    @pytest.mark.parametrize("initial", [[0.0, 1.0], (0.0, 1.0)], ids=["list", "tuple"])
+    def test_stage_states_are_float_tuples(self, initial, result):
+        # whatever the rhs returns, it is copied to floats before the next stage
+        seen = []
+
+        def rhs(t, y):
+            seen.append(y)
+            return result([1.0, -0.5 * y[1]])
+
+        half = Monitor("half", lambda t, y: y[1] - 0.75)
+        traj = integrate(rhs, initial, IntegratorConfig(t_max=2.0, initial_step=0.1), [half])
+        assert len(traj.events) == 1  # so in-step probes made stage calls too
+        assert len(seen) > 6 * (len(traj) - 1)
+        for y in seen:
+            assert type(y) is tuple and [type(v) for v in y] == [float, float]
+
+    def test_ndarray_initial_gets_fresh_ndarray_stages(self):
+        # perfbench's trivial-rhs case, whose -y needs an ndarray
+        seen = []
+
+        def rhs(t, y):
+            seen.append(y)
+            return -y
+
+        traj = integrate(rhs, np.array([1.0, 1.0]), IntegratorConfig(t_max=2.0, max_step=1e-3))
+        assert traj.termination is Termination.REACHED_TMAX
+        assert np.all(np.abs(traj.y[-1] - math.exp(-2.0)) < 1e-12)
+        assert len(seen) == 1 + 6 * (len(traj) - 1)
+        for y in seen:
+            assert type(y) is np.ndarray and y.dtype == np.float64 and y.shape == (2,)
+        assert len({id(y) for y in seen}) == len(seen)
+
+    def test_ndarray_initial_gets_ndarray_stages_in_step_probes_too(self):
+        seen = []
+
+        def rhs(t, y):
+            seen.append(y)
+            return -y
+
+        fall = Monitor("fall", lambda t, y: y[0] - 0.5)
+        traj = integrate(rhs, np.array([1.0]), IntegratorConfig(t_max=1.0), [fall])
+        assert abs(traj.events[0].t - math.log(2.0)) < 1e-9
+        assert len(seen) > 1 + 6 * (len(traj) - 1)
+        assert all(type(y) is np.ndarray for y in seen)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_one_step_matches_the_tableau(self, dim):
@@ -576,7 +637,7 @@ def _kernel_cases():
         cases.append((f"coupled-{dim}", f, 0.25, y0, (1e-3, 0.1, 0.7, 3.0)))
         cases.append((f"coupled-tuple-{dim}", lambda t, y, f=f: tuple(f(t, y).tolist()), 0.25, y0,
                       (0.1, 3.0)))
-        blow_up = lambda t, y: tuple(v * v for v in y.tolist())  # noqa: E731
+        blow_up = lambda t, y: tuple(v * v for v in np.asarray(y).tolist())  # noqa: E731
         cases.append((f"blow-up-{dim}", blow_up, 0.0, np.full(dim, 1e100), (1.0,)))
     starts = {"phi": 3.0, "psi": -0.2, "x1": 1.1, "x2": 0.9, "x3": 1.0 / (1.1 * 0.9)}
     for name, system in SYSTEMS.items():
@@ -597,12 +658,14 @@ class TestGeneratedKernels:
     """The generated kernels against the comprehension-based reference step,
     bit for bit."""
 
+    # both stage-state forms, tuples and ndarrays, against the reference,
+    # which hands its stages over as ndarrays: the forms give the same bits
     @pytest.mark.parametrize("case", _KERNEL_CASES, ids=[c[0] for c in _KERNEL_CASES])
     def test_step_matches_the_reference(self, case):
         _, rhs, t0, y0, steps = case
         y, k1 = y0.tolist(), np.asarray(rhs(t0, y0), dtype=float).tolist()
-        step = _dopri_kernel(len(y))
-        for h in steps:
+        for arrays, h in itertools.product((False, True), steps):
+            step = _dopri_kernel(len(y), arrays)
             for abs_tol, rel_tol in ((1e-12, 1e-10), (1e-6, 1e-3)):
                 y_new, k7, err = step(rhs, t0, y, k1, h, abs_tol, rel_tol)
                 ref_y, ref_k7, ref_err = reference_step(rhs, t0, y, k1, h, abs_tol, rel_tol)
@@ -616,8 +679,8 @@ class TestGeneratedKernels:
     def test_in_step_states_match_the_reference(self, case):
         _, rhs, t0, y0, steps = case
         f0 = rhs(t0, y0)
-        for h in steps:
-            interp = _substep_evaluator(rhs, t0, y0, f0, t0 + h, y0)
+        for arrays, h in itertools.product((False, True), steps):
+            interp = _substep_evaluator(rhs, t0, y0, f0, t0 + h, y0, arrays)
             for frac in (0.1, 0.37, 0.5, 0.999):
                 t = t0 + frac * h
                 ref = reference_update(
@@ -626,9 +689,11 @@ class TestGeneratedKernels:
                 assert bits(interp(t)) == bits(ref)
 
     def test_kernel_source_is_shown(self):
-        source = inspect.getsource(_dopri_kernel(2))
-        assert source.startswith("def dopri5_dim2(")
-        assert "sum([q0 * q0, q1 * q1])" in source
+        for arrays, stage in ((False, "k7 = rhs(t + h, z)"), (True, "k7 = rhs(t + h, array(z))")):
+            source = inspect.getsource(_dopri_kernel(2, arrays))
+            assert source.startswith("def dopri5_dim2(")
+            assert "sum([q0 * q0, q1 * q1])" in source
+            assert stage in source
 
 
 def _result_forms(field):
