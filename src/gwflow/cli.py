@@ -36,13 +36,13 @@ from .integrate import IntegratorConfig, Termination, Trajectory, integrate
 from .portrait import render_portrait
 from .spaces import (
     Metric,
-    PhasePoint,
+    RicciSpectrum,
     _chart_values,
+    _phase_ricci_values,
     _x3_values,
     make_pn,
     negative_count,
     ricci_coefficients,
-    ricci_phase,
     volume,
 )
 
@@ -87,8 +87,8 @@ _COMMANDS = {
         "system": (str, _REQUIRED, {"choices": list(SYSTEMS)}),
         # the state of every system, in first-use order (x1, x2, x3, phi, psi)
         **dict.fromkeys((k for s in SYSTEMS.values() for k in s.state), (float, None)),
-        # the integrator's settings but event_tol: flow watches no events
-        **{k: v for k, v in _options(IntegratorConfig).items() if k != "event_tol"},
+        # the integrator's settings
+        **_options(IntegratorConfig),
         "t_max": (float, 10.0),
     },
     "experiment": _options(ExperimentConfig),
@@ -227,7 +227,9 @@ def _csv_lines(system: str, n: int, traj: Trajectory) -> Iterable[str]:
         if len(cols) == 1:
             cols.append([0.0] * len(traj))
         rows = [(Metric(*_chart_values(n, phi, psi)), phi, psi) for phi, psi in zip(*cols)]
-        spectra = (ricci_phase(PhasePoint(phi, psi, n)) for _, phi, psi in rows)
+        spectra = (
+            RicciSpectrum(*_phase_ricci_values(n, phi, psi), *space.dims) for _, phi, psi in rows
+        )
     yield CSV_HEADER
     for t, (m, phi, psi), spec in zip(traj.t.tolist(), rows, spectra):
         x1, x2, x3 = m.xs

@@ -237,8 +237,8 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     monitors = [
         Monitor("r1", lambda t, y: observe(t, y)["r1"]),
         Monitor("r2", lambda t, y: observe(t, y)["r2"]),
-        Monitor("psi_phi_pow", psi_phi_pow, level=cfg.psi_phi_threshold),
-        Monitor("r1_phi", lambda t, y: observe(t, y)["r1_phi"], level=cfg.r1_phi_threshold),
+        Monitor("psi_phi_pow", lambda t, y: psi_phi_pow(t, y) - cfg.psi_phi_threshold),
+        Monitor("r1_phi", lambda t, y: observe(t, y)["r1_phi"] - cfg.r1_phi_threshold),
     ]
     traj = integrate(field_reparam(n), y0, cfg.integrator_config(), monitors, observe)
     diag = traj.diagnostics

@@ -3,12 +3,12 @@
 The stepper is the classic Dormand-Prince 5(4) pair (seven stages, FSAL)
 with proportional-integral step-size control.  Monitors only locate events
 (``diagnostics`` records per-sample values): each is evaluated at every
-accepted step, and a crossing of its level across a step is localized by
-Brent's method, with in-step states produced by a single full-order stage
-pass from the step's left endpoint (so localized event times inherit the
-integrator's accuracy rather than an interpolant's).  The search stops once
-the bracket is ``event_tol`` wide or no float lies strictly inside it.  A
-monitor marked ``stop`` ends the run at its first located crossing.
+accepted step, and a sign change across a step is localized by Brent's
+method, with in-step states produced by a single full-order stage pass from
+the step's left endpoint (so localized event times inherit the integrator's
+accuracy rather than an interpolant's).  The search stops once the bracket
+is ``EVENT_TOL`` wide or no float lies strictly inside it.  A monitor
+marked ``stop`` ends the run at its first located crossing.
 
 The states here have one to three components, where numpy's per-call
 overhead costs far more than the arithmetic, so each step runs on Python
@@ -16,18 +16,21 @@ floats, in a kernel generated per state dimension from the Dormand-Prince
 tableau (``_dopri_kernel``): every stage state, the 5th-order update, the
 error estimate and its norm are written out component by component as
 scalar expressions, with no loop and no list in between.  The kernel is
-compiled once per process, dimension and stage-state form, when a run
-first needs it; ``print(inspect.getsource(_dopri_kernel(2, False)))`` shows
-its source, which tracebacks show too.  The right-hand side receives every
-state as the kernel's own tuple of Python floats, as gwflow's vector
-fields take it; only a run whose ``initial`` is an ndarray hands it a fresh
-ndarray per stage instead.  A tuple the right-hand side returns (as
-gwflow's vector fields do) is used as it is, so it must hold Python
-floats; any other result is copied to a list of floats at once, and a
-result of the wrong length raises :class:`ValueError` at that stage.
-Monitors and diagnostics receive the kernel's tuple of floats too, at
-accepted states and in-step probes alike (``np.asarray(y)`` makes it an
-array); a :class:`Trajectory` and its events hold ndarrays.
+compiled once per process and dimension, when a run first needs it;
+``print(inspect.getsource(_dopri_kernel(2)))`` shows its source, which
+tracebacks show too.  The kernel hands the right-hand side every state as
+its own tuple of Python floats and unpacks the result directly, which is
+how gwflow's vector fields take and return states.  ``integrate`` makes the
+first call in the caller's form (a fresh ndarray when ``initial`` is one)
+and decides there, once, whether to adapt the right-hand side.  It does
+when ``initial`` is an ndarray or that first result is not a tuple of
+Python floats: the adapted right-hand side is handed the same form as the
+first call and its result is copied to a list of floats.  gwflow's vector
+fields are never adapted.  A result of the wrong length raises
+:class:`ValueError` at that stage.  Monitors and diagnostics receive the
+kernel's tuple of floats too, at accepted states and in-step probes alike
+(``np.asarray(y)`` makes it an array); a :class:`Trajectory` and its events
+hold ndarrays.
 
 The problems integrated here are smooth and non-stiff by construction; when
 a right-hand side reports :class:`~gwflow.flows.RangeExceededError`, or the
@@ -60,6 +63,9 @@ __all__ = [
 ]
 
 MIN_STEP = 1e-14
+# the width below which an event's bracket is not narrowed further (or one
+# ulp of t, where that is wider)
+EVENT_TOL = 1e-10
 
 # Dormand-Prince 5(4) (Hairer, Norsett & Wanner, *Solving ODEs I*, II.5):
 # stage nodes c, stage coefficients a (row i for stage i + 1), 5th-order
@@ -100,12 +106,10 @@ class NoBracketError(ValueError):
 class IntegratorConfig:
     """Tolerances and limits for a run.
 
-    ``event_tol`` bounds the width of the final sign-change bracket when
-    localizing an event in time (or the bracket is one ulp wide, where an
-    ulp of ``t`` exceeds it).  Every tolerance and limit must be positive and
-    finite, except ``max_step``, which may be infinite (no cap): an infinite
-    ``t_max`` would let the step size overflow to ``inf``, where every trial
-    step is non-finite and halving it never ends.  ``initial_step`` and
+    Every tolerance and limit must be positive and finite, except
+    ``max_step``, which may be infinite (no cap): an infinite ``t_max`` would
+    let the step size overflow to ``inf``, where every trial step is
+    non-finite and halving it never ends.  ``initial_step`` and
     ``max_step`` must be at least ``MIN_STEP``, below which every run would
     end at ``t = 0`` in step-size underflow; a shorter ``t_max`` is taken as
     the final step and runs.
@@ -117,10 +121,9 @@ class IntegratorConfig:
     initial_step: float = 1e-3
     max_step: float = math.inf
     max_steps: int = 1_000_000
-    event_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "initial_step", "event_tol", "t_max"):
+        for name in ("rel_tol", "abs_tol", "initial_step", "t_max"):
             v = getattr(self, name)
             if not 0 < v < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
@@ -136,13 +139,13 @@ class IntegratorConfig:
 class Monitor:
     """A named scalar functional of ``(t, state)`` watched during a run.
 
-    Every strict crossing of ``fn`` through ``level`` is located and recorded
-    as an :class:`Event`; with ``stop`` set, the first one also ends the run.
+    Every strict sign change of ``fn`` is located and recorded as an
+    :class:`Event`; with ``stop`` set, the first one also ends the run.  To
+    watch a crossing of a level ``c``, watch the functional minus ``c``.
     """
 
     name: str
     fn: Callable[[float, tuple[float, ...]], float]
-    level: float = 0.0
     stop: bool = False
 
 
@@ -180,15 +183,12 @@ class Trajectory:
         return None
 
 
-def _kernel_source(dim: int, arrays: bool) -> str:
+def _kernel_source(dim: int) -> str:
     """Python source of the Dormand-Prince step for states of ``dim``
     components, every state, stage and sum written out per component.  Each
     sum adds its terms in the tableau's order, as a loop over components
-    would, so the kernels give that loop's bits.  ``arrays`` only changes
-    what ``rhs`` is handed: each stage state wrapped in a fresh ndarray, or
-    the bare tuple of floats."""
+    would, so the kernels give that loop's bits."""
     comps = range(dim)
-    open_, close = ("array([", "])") if arrays else ("(", ")")
 
     def names(fmt: str) -> str:  # "y0, y1," for fmt "y{i}": a tuple even for dim 1
         return ", ".join(fmt.format(i=i) for i in comps) + ","
@@ -205,18 +205,15 @@ def _kernel_source(dim: int, arrays: bool) -> str:
         f"    {names('k1_{i}')} = k1",
     ]
     for j in range(2, 7):
-        lines.append(f"    k = rhs({time(j)}, {open_}")
+        lines.append(f"    {names(f'k{j}_{{i}}')} = rhs({time(j)}, (")
         lines += [f"        y{i} + h * ({combination(_A[j - 1], i)})," for i in comps]
-        lines.append(f"    {close})")
-        lines.append(f"    {names(f'k{j}_{{i}}')} = k if type(k) is tuple else floats(k)")
+        lines.append("    ))")
     lines += [f"    z{i} = y{i} + h * ({combination(_B, i)})" for i in comps]
     lines += [
         f"    z = {names('z{i}')}",
         "    if abs_tol is None:",
         "        return z",
-        f"    k7 = rhs({time(7)}, {'array(z)' if arrays else 'z'})",
-        "    if type(k7) is not tuple:",
-        "        k7 = floats(k7)",
+        f"    k7 = rhs({time(7)}, z)",
         f"    {names('k7_{i}')} = k7",
     ]
     lines += [f"    e{i} = h * ({combination(_E, i)})" for i in comps]
@@ -236,40 +233,33 @@ def _kernel_source(dim: int, arrays: bool) -> str:
 
 
 @lru_cache(maxsize=None)
-def _dopri_kernel(dim: int, arrays: bool):
+def _dopri_kernel(dim: int):
     """The Dormand-Prince step for states of ``dim`` components, generated
-    from the tableau once per process, dimension and stage-state form.
+    from the tableau once per process and dimension.
 
     ``kernel(rhs, t, y, k1, h, abs_tol, rel_tol)`` takes ``y`` and
     ``k1 = rhs(t, y)`` as sequences of ``dim`` floats and makes six ``rhs``
-    calls, each handed the stage state as a tuple of Python floats, or as a
-    fresh ndarray when ``arrays`` is set.  It returns the 5th-order solution
-    (the last stage's state) as a tuple of floats, the last stage (the
+    calls, each handed the stage state as a tuple of Python floats and each
+    result unpacked as it is, so ``rhs`` must return ``dim`` Python floats
+    (:func:`integrate` adapts any other ``rhs``).  It returns the 5th-order
+    solution (the last stage's state) as a tuple, the last stage (the
     derivative there) and the RMS error norm, or ``None`` for the norm when
-    the solution or the error estimate is not finite.  A stage that ``rhs``
-    returns as a tuple is taken as it is, so it must hold Python floats; any
-    other result is copied to a list of floats.  A stage of the wrong length
-    raises :class:`ValueError`.  ``kernel(rhs, t, y, k1, h)`` stops after
-    five calls and returns the 5th-order solution alone.
+    the solution or the error estimate is not finite.  A stage of the wrong
+    length raises :class:`ValueError`.  ``kernel(rhs, t, y, k1, h)`` stops
+    after five calls and returns the 5th-order solution alone.
 
     The source is registered with :mod:`linecache`, so tracebacks show its
-    lines and ``inspect.getsource(_dopri_kernel(2, False))`` prints it.
+    lines and ``inspect.getsource(_dopri_kernel(2))`` prints it.
     """
-    source = _kernel_source(dim, arrays)
-    form = "ndarray" if arrays else "tuple"
-    filename = f"<gwflow.integrate Dormand-Prince kernel, dim {dim}, {form} stage states>"
+    source = _kernel_source(dim)
+    filename = f"<gwflow.integrate Dormand-Prince kernel, dim {dim}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {
-        "array": np.array,
-        "floats": _floats,
-        "isfinite": math.isfinite,
-        "sqrt": math.sqrt,
-    }
+    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt}
     exec(compile(source, filename, "exec"), namespace)
     return namespace[f"dopri5_dim{dim}"]
 
 
-def _substep_evaluator(rhs, t0, y0, f0, t1, y1, arrays=False):
+def _substep_evaluator(rhs, t0, y0, f0, t1, y1):
     """In-step state evaluator: one full-order stage pass from ``(t0, y0)``.
 
     A cubic Hermite interpolant is an order short here: the controller takes
@@ -281,16 +271,12 @@ def _substep_evaluator(rhs, t0, y0, f0, t1, y1, arrays=False):
     tolerances, which stops before the last (FSAL) stage, since that stage
     serves only the error estimate.
 
-    ``y0``, ``y1`` and ``f0 = rhs(t0, y0)`` may be ndarrays, lists or tuples
-    of floats; the evaluator returns tuples of floats.  ``rhs`` is handed
-    its stage states as :func:`integrate`'s run hands them: tuples of floats,
-    or fresh ndarrays when ``arrays`` is set.  :func:`integrate` builds an
-    evaluator only on a step across which some monitor changes sign.
+    ``y0`` and ``y1`` are tuples of Python floats, ``f0 = rhs(t0, y0)`` a
+    sequence of them, and ``rhs`` takes and returns states as the kernel
+    does; the evaluator returns tuples of floats.  :func:`integrate` builds
+    an evaluator only on a step across which some monitor changes sign.
     """
-    y0 = tuple([float(v) for v in y0])
-    y1 = tuple([float(v) for v in y1])
-    f0 = [float(v) for v in f0]
-    update = _dopri_kernel(len(y0), arrays)
+    update = _dopri_kernel(len(y0))
 
     def interp(t: float) -> tuple[float, ...]:
         tau = t - t0
@@ -303,12 +289,19 @@ def _substep_evaluator(rhs, t0, y0, f0, t1, y1, arrays=False):
     return interp
 
 
+def _adapted(rhs, arrays: bool):
+    """``rhs`` in the kernel's form: handed a fresh ndarray per call when
+    ``arrays`` is set, the kernel's tuple otherwise, with its result copied
+    to a list of Python floats."""
+    return lambda t, y: _floats(rhs(t, np.array(y) if arrays else y))
+
+
 def locate_sign_change(
     f: Callable[[float, tuple[float, ...]], float],
     t_lo: float,
     t_hi: float,
     interpolant: Callable[[float], tuple[float, ...]],
-    event_tol: float = 1e-10,
+    event_tol: float = EVENT_TOL,
     g_lo: float | None = None,
     g_hi: float | None = None,
 ) -> float:
@@ -389,7 +382,9 @@ def integrate(
     """Integrate ``y' = rhs(t, y)`` from ``initial`` at ``t = 0`` to ``config.t_max``.
 
     ``rhs`` is handed every state as a tuple of Python floats, or, when
-    ``initial`` is an ndarray, as a fresh ndarray.  The initial state must
+    ``initial`` is an ndarray, as a fresh ndarray.  When ``initial`` is an
+    ndarray or the first result is not a tuple of Python floats, ``rhs`` is
+    adapted after that first call (``_adapted``).  The initial state must
     satisfy the right-hand side's preconditions (a failing initial
     evaluation raises).  Later guard trips and step-size underflow
     terminate the run gracefully with the reason recorded.
@@ -398,7 +393,7 @@ def integrate(
     arrays = isinstance(initial, np.ndarray)
     y_arr = np.array(initial, dtype=float)
     y = tuple(y_arr.tolist())
-    step = _dopri_kernel(len(y), arrays)
+    step = _dopri_kernel(len(y))
     t, t_end = 0.0, config.t_max
     rel_tol, abs_tol = config.rel_tol, config.abs_tol
 
@@ -407,7 +402,10 @@ def integrate(
     diag_rows: list[Mapping[str, float]] = []
     events: list[Event] = []
 
-    f0 = np.asarray(rhs(t, y_arr if arrays else y), dtype=float)
+    f0 = rhs(t, y_arr if arrays else y)
+    if arrays or type(f0) is not tuple or not all(type(v) is float for v in f0):
+        rhs = _adapted(rhs, arrays)
+    f0 = np.asarray(f0, dtype=float)
     if f0.shape != y_arr.shape:
         raise ValueError(
             f"right-hand side has shape {f0.shape} for a state of shape {y_arr.shape}"
@@ -417,7 +415,7 @@ def integrate(
     f_now = f0.tolist()
     if diagnostics is not None:
         diag_rows.append(dict(diagnostics(t, y)))
-    mon_prev = [m.fn(t, y) - m.level for m in monitors]
+    mon_prev = [m.fn(t, y) for m in monitors]
 
     h = min(config.initial_step, config.max_step, config.t_max)
     err_old = 1e-4
@@ -469,22 +467,14 @@ def integrate(
         stop_ev: Event | None = None
         step_events: list[Event] = []
         try:
-            mon_now = [m.fn(t_new, y_new) - m.level for m in monitors]
+            mon_now = [m.fn(t_new, y_new) for m in monitors]
             interp = None
             for i, m in enumerate(monitors):
                 g0, g1 = mon_prev[i], mon_now[i]
                 if g0 * g1 < 0.0:
                     if interp is None:
-                        interp = _substep_evaluator(rhs, t, y, f_now, t_new, y_new, arrays)
-                    t_star = locate_sign_change(
-                        lambda tt, yy, m=m: m.fn(tt, yy) - m.level,
-                        t,
-                        t_new,
-                        interp,
-                        config.event_tol,
-                        g0,
-                        g1,
-                    )
+                        interp = _substep_evaluator(rhs, t, y, f_now, t_new, y_new)
+                    t_star = locate_sign_change(m.fn, t, t_new, interp, EVENT_TOL, g0, g1)
                     y_star = interp(t_star)
                     ev = Event(m.name, t_star, np.array(y_star))
                     step_events.append(ev)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .flows import RangeExceededError, _phase, _pn, field_phase
+from .flows import InadmissibleStateError, RangeExceededError, _phase, _pn, field_phase
 from .integrate import IntegratorConfig, Monitor, integrate
 
 __all__ = ["render_portrait"]
@@ -183,9 +183,6 @@ def _clip_line_to_box(sign, phi_min, phi_max, psi_min, psi_max):
 
 
 def _trajectory_points(c, phi0, psi0, t_max, phi_min, phi_max, psi_min, psi_max):
-    if not phi0 > abs(psi0):
-        return []
-
     def depth(t, y):
         # signed distance into the box: the run ends where it turns negative
         phi, psi = y
@@ -195,8 +192,8 @@ def _trajectory_points(c, phi0, psi0, t_max, phi_min, phi_max, psi_min, psi_max)
         return []  # one point draws no polyline
     try:
         dphi, dpsi = _phase(c, phi0, psi0)
-    except RangeExceededError:
-        return []  # integrate's first evaluation would raise
+    except (InadmissibleStateError, RangeExceededError):
+        return []  # outside the cone, or integrate's first evaluation would raise
     # on an edge the monitor starts at 0 and never sees a strict sign
     # change, so a flow that does not point into the box is not drawn
     edges = (

@@ -351,7 +351,7 @@ EXPERIMENT_VALUES = _field_values(ExperimentConfig, n=2, N=4.0, t_max=1e6)
 # a value for every option of every command
 OPTION_VALUES = {
     "flow": {"n": 2, "system": "phase", "phi": 2.0, "psi": 0.0, "x1": 1.1, "x2": 0.9, "x3": 1.3,
-             **{k: v for k, v in INTEGRATOR_VALUES.items() if k != "event_tol"}},
+             **INTEGRATOR_VALUES},
     "experiment": EXPERIMENT_VALUES,
     "portrait": {"n": 2, "phi_range": "1:3", "psi_range": "-1:1",
                  "grid": "6x4", "start": ["2,0.2", "2.5,-0.1"], "traj_t_max": 1.0},
@@ -428,7 +428,7 @@ class TestSystemRegistry:
 
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_flow_has_no_event_tol(self, capsys, tmp_path, how):
-        # flow runs no monitors, so an event tolerance would have no effect
+        # the event tolerance is a constant of the integrator, and flow runs no monitors
         option = _set_option(tmp_path, "event_tol", 1e-9, how)
         code, out, err = run_cli(capsys, *PHASE_FLOW, *option)
         assert (code, out) == (1, "")

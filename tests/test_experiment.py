@@ -102,15 +102,18 @@ class TestRunMechanics:
             return integrate(rhs, y0, config, monitors, diagnostics)
 
         monkeypatch.setattr(experiment, "integrate", recorded)
-        run_theorem_experiment(ExperimentConfig(n=2, t_max=10.0))
+        cfg = ExperimentConfig(n=2, t_max=10.0)
+        run_theorem_experiment(cfg)
         ((monitors, observe),) = calls
         assert [m.name for m in monitors] == ["r1", "r2", "psi_phi_pow", "r1_phi"]
         y = np.array([5.0, -2e-3])
         record = observe(0.0, y)
         assert set(record) == {"r1", "r2", "r3", "psi_phi_pow", "r1_phi"}
         assert tuple(record[k] for k in ("r1", "r2", "r3")) == _phase_ricci_values(2, 5.0, -2e-3)
+        # the threshold monitors watch their functional minus the threshold
+        levels = {"psi_phi_pow": cfg.psi_phi_threshold, "r1_phi": cfg.r1_phi_threshold}
         for m in monitors:
-            assert m.fn(0.0, y) == record[m.name]
+            assert m.fn(0.0, y) == record[m.name] - levels.get(m.name, 0.0)
 
     def test_r1_block_turns_negative(self, report_n2):
         rep = report_n2

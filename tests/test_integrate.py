@@ -1,5 +1,5 @@
+import importlib
 import inspect
-import itertools
 import math
 
 import numpy as np
@@ -25,8 +25,8 @@ from gwflow import (
     volume,
     x3_from_volume_one,
 )
-from gwflow import ExperimentConfig, experiment, run_theorem_experiment
-from gwflow.integrate import MIN_STEP, _dopri_kernel, _substep_evaluator
+from gwflow import ExperimentConfig, cli, experiment, run_theorem_experiment
+from gwflow.integrate import EVENT_TOL, MIN_STEP, _adapted, _dopri_kernel, _substep_evaluator
 from gwflow.spaces import _phase_ricci_values
 
 
@@ -63,14 +63,14 @@ class TestConfig:
         cfg = IntegratorConfig(t_max=1.0)
         assert cfg.rel_tol == 1e-10
         assert cfg.abs_tol == 1e-12
-        assert cfg.event_tol == 1e-10
+        assert EVENT_TOL == 1e-10
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"t_max": -1.0},
             {"t_max": 1.0, "rel_tol": 0.0},
-            {"t_max": 1.0, "event_tol": -1e-3},
+            {"t_max": 1.0, "abs_tol": -1e-3},
             {"t_max": 1.0, "max_steps": 0},
             {"t_max": 1.0, "max_step": math.nan},
         ],
@@ -85,7 +85,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="t_max must be positive and finite"):
             IntegratorConfig(t_max=math.inf)
 
-    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "initial_step", "event_tol"])
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "initial_step"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_tolerance_is_refused(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
@@ -161,24 +161,13 @@ class TestEvents:
         assert times == sorted(times)
 
     def test_threshold_monitor_records_level(self):
-        mon = Monitor("level", lambda t, y: y[0], level=5.0)
+        # a crossing of a level is the sign change of the functional minus it
+        mon = Monitor("level", lambda t, y: y[0] - 5.0)
         traj = integrate(constant_field([2.0]), [0.0], IntegratorConfig(t_max=5.0), [mon])
         assert len(traj.events) == 1
         ev = traj.events[0]
         assert ev.name == "level"
         assert abs(ev.t - 2.5) <= 1e-10
-
-    def test_level_is_a_shift_of_the_functional(self):
-        # a crossing of fn through L is located where fn - L changes sign
-        level = 2.5
-        mons = [
-            Monitor("level", lambda t, y: y[0], level=level),
-            Monitor("shifted", lambda t, y: y[0] - level),
-        ]
-        traj = integrate(field_phase(2), [1.8, -0.3], IntegratorConfig(t_max=5.0), mons)
-        (by_level,) = [ev for ev in traj.events if ev.name == "level"]
-        (shifted,) = [ev for ev in traj.events if ev.name == "shifted"]
-        assert by_level.t == shifted.t
 
     def test_stop_monitor_truncates_run(self):
         mon = Monitor("stop_here", lambda t, y: y[0] - 1.0, stop=True)
@@ -289,9 +278,9 @@ class TestLocateSignChange:
         traj = integrate(rhs, [4.0, -1e-3], IntegratorConfig(t_max=1e6), [Monitor("r1", r1)])
         (event,) = traj.events
         k = int(np.searchsorted(traj.t, event.t))
-        t0, t1 = traj.t[k - 1], traj.t[k]
-        y0 = traj.y[k - 1]
-        interp = _substep_evaluator(rhs, t0, y0, rhs(t0, y0), t1, traj.y[k])
+        t0, t1 = traj.t[k - 1].item(), traj.t[k].item()
+        y0, y1 = tuple(traj.y[k - 1].tolist()), tuple(traj.y[k].tolist())
+        interp = _substep_evaluator(rhs, t0, y0, rhs(t0, y0), t1, y1)
 
         t = locate_sign_change(r1, t0, t1, interp, 1e-10)
         reference = optimize.brentq(lambda tt: r1(tt, interp(tt)), t0, t1, xtol=1e-13)
@@ -308,7 +297,7 @@ class TestLocateSignChange:
             calls.append(t)
             return field(t, y)
 
-        y0 = np.array([4.0, -1e-3])
+        y0 = (4.0, -1e-3)
         interp = _substep_evaluator(rhs, 0.0, y0, field(0.0, y0), 0.5, y0)
         y_mid = interp(0.25)
         assert len(calls) == 5
@@ -529,12 +518,14 @@ class TestFloatKernel:
 
     @pytest.mark.parametrize(
         "result",
-        [np.array, list, lambda v: [np.float64(x) for x in v]],
-        ids=["ndarray", "list", "list of float64"],
+        [np.array, list, lambda v: [np.float64(x) for x in v],
+         lambda v: tuple(np.float64(x) for x in v)],
+        ids=["ndarray", "list", "list of float64", "tuple of float64"],
     )
     @pytest.mark.parametrize("initial", [[0.0, 1.0], (0.0, 1.0)], ids=["list", "tuple"])
     def test_stage_states_are_float_tuples(self, initial, result):
-        # whatever the rhs returns, it is copied to floats before the next stage
+        # whatever the rhs returns, it is copied to floats before the next
+        # stage, so event times are floats too
         seen = []
 
         def rhs(t, y):
@@ -544,6 +535,7 @@ class TestFloatKernel:
         half = Monitor("half", lambda t, y: y[1] - 0.75)
         traj = integrate(rhs, initial, IntegratorConfig(t_max=2.0, initial_step=0.1), [half])
         assert len(traj.events) == 1  # so in-step probes made stage calls too
+        assert type(traj.events[0].t) is float
         assert len(seen) > 6 * (len(traj) - 1)
         for y in seen:
             assert type(y) is tuple and [type(v) for v in y] == [float, float]
@@ -612,6 +604,24 @@ class TestFloatKernel:
             integrate(rhs, [0.0, 1.0], IntegratorConfig(t_max=1.0))
         assert len(calls) == 3  # the initial call, stage 2, and the wrong stage 3
 
+    def test_gwflow_callers_never_adapt_the_rhs(self, monkeypatch, tmp_path):
+        # every gwflow field takes and returns tuples of floats, so no gwflow
+        # run goes through the adapter
+        def refused(rhs, arrays):
+            raise AssertionError("rhs adapted")
+
+        monkeypatch.setattr(importlib.import_module("gwflow.integrate"), "_adapted", refused)
+        out = str(tmp_path / "out")
+        starts = {"phi": "3.0", "psi": "-0.2", "x1": "1.1", "x2": "0.9", "x3": "1.0"}
+        for name, system in SYSTEMS.items():
+            state = [a for c in system.state for a in (f"--{c}", starts[c])]
+            argv = ["flow", "--n", "3", "--system", name, *state, "--t-max", "0.1"]
+            assert cli.main([*argv, "--output", out]) == 0, name
+        assert cli.main(["experiment", "--n", "3", "--t-max", "1e4", "--output", out]) == 0
+        assert cli.main(["portrait", "--n", "2", "--phi-range", "1:3", "--psi-range", "-1:1",
+                         "--start", "2,0.2", "--output", out]) == 0
+        assert cli.main(["check", "--n-max", "3"]) == 0
+
     # the counts recorded for these runs in perfbench/reference.json
     @pytest.mark.parametrize("n,epsilon,steps", [(2, 1e-3, 107), (5, 1e-3, 113), (8, 1e-4, 93)])
     def test_experiment_step_counts_pinned(self, monkeypatch, n, epsilon, steps):
@@ -628,13 +638,15 @@ class TestFloatKernel:
 
 
 def _kernel_cases():
-    """``(id, rhs, t0, y0, steps)`` for dimensions 1 to 4: the coupled field,
-    as it returns an ndarray and as a tuple, and gwflow's vector fields."""
+    """``(id, rhs, t0, y0, steps)`` for dimensions 1 to 4, each ``rhs`` as the
+    kernel takes it: the coupled field, which returns an ndarray, adapted as
+    ``integrate`` adapts it for an ndarray ``initial``, the coupled field
+    returning a tuple of floats, and gwflow's vector fields."""
     cases = []
     for dim in range(1, 5):
         f = coupled_field(dim)
         y0 = np.linspace(0.5, 1.5, dim)
-        cases.append((f"coupled-{dim}", f, 0.25, y0, (1e-3, 0.1, 0.7, 3.0)))
+        cases.append((f"coupled-{dim}", _adapted(f, True), 0.25, y0, (1e-3, 0.1, 0.7, 3.0)))
         cases.append((f"coupled-tuple-{dim}", lambda t, y, f=f: tuple(f(t, y).tolist()), 0.25, y0,
                       (0.1, 3.0)))
         blow_up = lambda t, y: tuple(v * v for v in np.asarray(y).tolist())  # noqa: E731
@@ -658,14 +670,12 @@ class TestGeneratedKernels:
     """The generated kernels against the comprehension-based reference step,
     bit for bit."""
 
-    # both stage-state forms, tuples and ndarrays, against the reference,
-    # which hands its stages over as ndarrays: the forms give the same bits
     @pytest.mark.parametrize("case", _KERNEL_CASES, ids=[c[0] for c in _KERNEL_CASES])
     def test_step_matches_the_reference(self, case):
         _, rhs, t0, y0, steps = case
-        y, k1 = y0.tolist(), np.asarray(rhs(t0, y0), dtype=float).tolist()
-        for arrays, h in itertools.product((False, True), steps):
-            step = _dopri_kernel(len(y), arrays)
+        y, k1 = tuple(y0.tolist()), np.asarray(rhs(t0, y0), dtype=float).tolist()
+        step = _dopri_kernel(len(y))
+        for h in steps:
             for abs_tol, rel_tol in ((1e-12, 1e-10), (1e-6, 1e-3)):
                 y_new, k7, err = step(rhs, t0, y, k1, h, abs_tol, rel_tol)
                 ref_y, ref_k7, ref_err = reference_step(rhs, t0, y, k1, h, abs_tol, rel_tol)
@@ -678,22 +688,22 @@ class TestGeneratedKernels:
     @pytest.mark.parametrize("case", _KERNEL_CASES, ids=[c[0] for c in _KERNEL_CASES])
     def test_in_step_states_match_the_reference(self, case):
         _, rhs, t0, y0, steps = case
-        f0 = rhs(t0, y0)
-        for arrays, h in itertools.product((False, True), steps):
-            interp = _substep_evaluator(rhs, t0, y0, f0, t0 + h, y0, arrays)
+        y, f0 = tuple(y0.tolist()), np.asarray(rhs(t0, y0), dtype=float).tolist()
+        for h in steps:
+            interp = _substep_evaluator(rhs, t0, y, f0, t0 + h, y)
             for frac in (0.1, 0.37, 0.5, 0.999):
                 t = t0 + frac * h
-                ref = reference_update(
-                    rhs, t0, y0.tolist(), np.asarray(f0, dtype=float).tolist(), t - t0
-                )[0]
-                assert bits(interp(t)) == bits(ref)
+                assert bits(interp(t)) == bits(reference_update(rhs, t0, y, f0, t - t0)[0])
 
     def test_kernel_source_is_shown(self):
-        for arrays, stage in ((False, "k7 = rhs(t + h, z)"), (True, "k7 = rhs(t + h, array(z))")):
-            source = inspect.getsource(_dopri_kernel(2, arrays))
-            assert source.startswith("def dopri5_dim2(")
-            assert "sum([q0 * q0, q1 * q1])" in source
-            assert stage in source
+        source = inspect.getsource(_dopri_kernel(2))
+        assert source.startswith("def dopri5_dim2(")
+        assert "sum([q0 * q0, q1 * q1])" in source
+        assert "k7 = rhs(t + h, z)" in source
+        # one form: the stages are unpacked as rhs returns them
+        for other_form in ("floats(", "type(k", "array("):
+            assert other_form not in source
+        assert _dopri_kernel(2) is _dopri_kernel(2)
 
 
 def _result_forms(field):
