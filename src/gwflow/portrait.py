@@ -5,13 +5,26 @@ admissible cone ``phi > |psi|``; grid points where the field vanishes get a
 dot marker instead (fixed points).  The invariant axis ``psi = 0`` is
 highlighted and requested trajectories are overlaid as polylines.  Output
 is plain SVG 1.1 text and is byte-identical for identical inputs.
+
+The arrow grid is evaluated in one float64 array pass: the grid points come
+from the same expressions, in the same order, as a per-point loop's would,
+and the points that :func:`~gwflow.flows.rhs_phase`'s guard refuses are
+masked out with its own comparisons before the unguarded kernel
+``flows._phase_values`` runs once on the rest.  The kernel's powers go
+through numpy's ``pow`` and the arrow lengths through its ``hypot``, which
+can differ from libm's and ``math``'s by an ulp; that sits far below the
+0.01-px resolution of the SVG.  Every coordinate in the SVG is written
+with one rule, ``%.2f``.
 """
 
 from __future__ import annotations
 
 import math
 
-from .flows import InadmissibleStateError, RangeExceededError, _phase, _pn, field_phase
+import numpy as np
+
+from .flows import (InadmissibleStateError, RangeExceededError, _phase, _phase_values, _pn,
+                    field_phase)
 from .integrate import IntegratorConfig, Monitor, integrate
 
 __all__ = ["render_portrait"]
@@ -22,9 +35,11 @@ _MARGIN = 40.0
 _ARROW_LEN = 11.0
 _FIXED_POINT_SPEED = 1e-9
 
-
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+_LINE = '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+# an arrow's shaft, then its head: two barbs at the tip
+_ARROW = (_LINE + 'stroke="#555555" stroke-width="1"/>\n'
+          '<path d="M %.2f %.2f L %.2f %.2f L %.2f %.2f Z" fill="#555555"/>')
+_MARKER = '<circle cx="%.2f" cy="%.2f" r="3.5" fill="#cc3300"/>'
 
 
 def render_portrait(
@@ -72,7 +87,8 @@ def render_portrait(
     sx = (_WIDTH - 2 * _MARGIN) / (phi_max - phi_min)
     sy = (_HEIGHT - 2 * _MARGIN) / (psi_max - psi_min)
 
-    def to_px(phi: float, psi: float) -> tuple[float, float]:
+    def to_px(phi, psi):
+        # floats or float64 arrays, with the same bits either way
         return (
             _MARGIN + (phi - phi_min) * sx,
             _HEIGHT - _MARGIN - (psi - psi_min) * sy,
@@ -91,11 +107,9 @@ def render_portrait(
         seg = _clip_line_to_box(sign, phi_min, phi_max, psi_min, psi_max)
         if seg is not None:
             (p0, q0), (p1, q1) = seg
-            x0, y0 = to_px(p0, q0)
-            x1, y1 = to_px(p1, q1)
             boundary.append(
-                f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
-                f'stroke="#999999" stroke-width="1" stroke-dasharray="6,4"/>'
+                (_LINE + 'stroke="#999999" stroke-width="1" stroke-dasharray="6,4"/>')
+                % (*to_px(p0, q0), *to_px(p1, q1))
             )
     if boundary:
         parts.append('<g id="boundary">')
@@ -103,59 +117,50 @@ def render_portrait(
         parts.append("</g>")
 
     if psi_min <= 0.0 <= psi_max:
-        x0, y0 = to_px(max(phi_min, 0.0), 0.0)
-        x1, y1 = to_px(phi_max, 0.0)
         parts.append(
-            f'<g id="axis"><line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" '
-            f'y2="{_fmt(y1)}" stroke="#0066cc" stroke-width="2"/></g>'
+            '<g id="axis">' + _LINE % (*to_px(max(phi_min, 0.0), 0.0), *to_px(phi_max, 0.0))
+            + 'stroke="#0066cc" stroke-width="2"/></g>'
         )
 
-    arrows = []
-    markers = []
-    for j in range(ny):
-        psi = psi_min if ny == 1 else psi_min + j * (psi_max - psi_min) / (ny - 1)
-        for i in range(nx):
-            phi = phi_min + i * (phi_max - phi_min) / (nx - 1)
-            if phi - abs(psi) <= 1e-9:
-                continue
-            try:
-                dphi, dpsi = _phase(c, phi, psi)
-            except (RangeExceededError, ValueError):
-                continue
-            cx, cy = to_px(phi, psi)
-            if math.hypot(dphi, dpsi) < _FIXED_POINT_SPEED:
-                markers.append(
-                    f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3.5" fill="#cc3300"/>'
-                )
-                continue
-            # scaled by a power of two, which is exact: the pixel vector
-            # cannot overflow, and its direction keeps every bit
-            _, e = math.frexp(max(abs(dphi), abs(dpsi)))
-            ux, uy = math.ldexp(dphi, -e) * sx, -math.ldexp(dpsi, -e) * sy
-            speed = math.hypot(ux, uy)
-            if not math.isfinite(speed):  # the field itself is not finite here
-                continue
-            ux, uy = ux / speed, uy / speed
-            half = _ARROW_LEN / 2.0
-            x0, y0 = cx - ux * half, cy - uy * half
-            x1, y1 = cx + ux * half, cy + uy * half
-            arrows.append(
-                f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
-                f'stroke="#555555" stroke-width="1"/>'
-            )
-            # arrowhead: two barbs at the tip
-            bx, by = -ux * 3.5, -uy * 3.5
-            px, py = -uy * 2.0, ux * 2.0
-            arrows.append(
-                f'<path d="M {_fmt(x1)} {_fmt(y1)} L {_fmt(x1 + bx + px)} {_fmt(y1 + by + py)} '
-                f'L {_fmt(x1 + bx - px)} {_fmt(y1 + by - py)} Z" fill="#555555"/>'
-            )
+    # the grid, psi rows outer and phi inner, each point from the expression
+    # a scalar loop would evaluate, left to right
+    phis = phi_min + np.arange(nx) * (phi_max - phi_min) / (nx - 1)
+    psis = (np.full(1, psi_min) if ny == 1
+            else psi_min + np.arange(ny) * (psi_max - psi_min) / (ny - 1))
+    phi, psi = (a.ravel() for a in np.meshgrid(phis, psis))
+    # a window past the guard overflows phi * phi, and a huge field the
+    # pixel vector: such points are masked or skipped, never drawn
+    with np.errstate(all="ignore"):
+        # off the cone's edge, and inside _phase's range guard
+        keep = ((phi - np.abs(psi) > 1e-9)
+                & (phi * phi <= c.hi) & (phi * phi - psi * psi >= c.lo))
+        phi, psi = phi[keep], psi[keep]
+        dphi, dpsi = _phase_values(c, phi, psi)
+        cx, cy = to_px(phi, psi)
+        fixed = np.hypot(dphi, dpsi) < _FIXED_POINT_SPEED
+        markers = list(zip(cx[fixed].tolist(), cy[fixed].tolist()))
+        # scaled by a power of two, which is exact: the pixel vector
+        # cannot overflow, and its direction keeps every bit
+        _, e = np.frexp(np.maximum(np.abs(dphi), np.abs(dpsi)))
+        ux, uy = np.ldexp(dphi, -e) * sx, -np.ldexp(dpsi, -e) * sy
+        speed = np.hypot(ux, uy)
+        # not where the field or the window's scale is not finite
+        drawn = ~fixed & np.isfinite(speed)
+        cx, cy, speed = cx[drawn], cy[drawn], speed[drawn]
+        ux, uy = ux[drawn] / speed, uy[drawn] / speed
+        half = _ARROW_LEN / 2.0
+        x0, y0 = cx - ux * half, cy - uy * half
+        x1, y1 = cx + ux * half, cy + uy * half
+        bx, by = -ux * 3.5, -uy * 3.5
+        px, py = -uy * 2.0, ux * 2.0
+        arrows = np.column_stack((x0, y0, x1, y1, x1, y1,
+                                  x1 + bx + px, y1 + by + py, x1 + bx - px, y1 + by - py))
     parts.append('<g id="vectors">')
-    parts.extend(arrows)
+    parts.extend(_ARROW % tuple(row) for row in arrows.tolist())
     parts.append("</g>")
     if markers:
         parts.append('<g id="fixed-points">')
-        parts.extend(markers)
+        parts.extend(_MARKER % xy for xy in markers)
         parts.append("</g>")
 
     if starts:
@@ -163,7 +168,7 @@ def render_portrait(
         for phi0, psi0 in starts:
             points = _trajectory_points(c, phi0, psi0, traj_t_max, phi_min, phi_max, psi_min, psi_max)
             if len(points) >= 2:
-                coords = " ".join(f"{_fmt(to_px(p, q)[0])},{_fmt(to_px(p, q)[1])}" for p, q in points)
+                coords = " ".join("%.2f,%.2f" % to_px(p, q) for p, q in points)
                 parts.append(
                     f'<polyline points="{coords}" fill="none" stroke="#cc3300" stroke-width="1.5"/>'
                 )

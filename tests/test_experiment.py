@@ -372,7 +372,7 @@ def test_scipy_oracle_t_r1_negative():
     assert abs(oracle - 490.6305098246) <= 1e-10 * oracle
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1: abs_tol floor")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2: abs_tol floor")
 def test_t_r1_negative_matches_scipy_oracle():
     # psi falls below abs_tol long before r1 turns negative for n >= 3, so
     # the event time carries the error of an unresolved psi (1.2e-5 relative)

@@ -1,4 +1,5 @@
-"""Trajectory overlays in ``render_portrait`` end where they leave the window."""
+"""``render_portrait``: its arrow grid against a per-point reference
+renderer, and trajectory overlays that end where they leave the window."""
 
 import contextlib
 import itertools
@@ -35,7 +36,7 @@ def _px(phi, psi):
     sy = (portrait._HEIGHT - 2 * portrait._MARGIN) / (PSI_RANGE[1] - PSI_RANGE[0])
     x = portrait._MARGIN + (phi - PHI_RANGE[0]) * sx
     y = portrait._HEIGHT - portrait._MARGIN - (psi - PSI_RANGE[0]) * sy
-    return portrait._fmt(x), portrait._fmt(y)
+    return f"{x:.2f}", f"{y:.2f}"
 
 
 def _inside(phi, psi):
@@ -128,6 +129,7 @@ def test_a_huge_finite_field_still_gets_its_arrow():
     dphi, _ = rhs_phase(n, phi0, psi0)
     assert math.isfinite(dphi) and math.isinf(dphi * 720.0 / 1e-3)
     svg = portrait.render_portrait(n, *window)
+    assert svg == reference_render(n, *window)
     arrows = svg.split('<g id="vectors">')[1].split("</g>")[0]
     assert "nan" not in arrows
     drawn = 0
@@ -141,3 +143,173 @@ def test_a_huge_finite_field_still_gets_its_arrow():
                 drawn += all(map(math.isfinite, rhs_phase(n, phi, psi)))
     assert drawn > 0
     assert arrows.count("<line") == drawn
+
+
+def reference_render(n, phi_range, psi_range, grid=(15, 9), starts=(), traj_t_max=20.0):
+    """``render_portrait`` as a per-point loop: each grid point through the
+    guarded ``flows._phase`` and ``math``, each number through its own
+    ``f"{v:.2f}"``.  The window and grid are taken as valid."""
+
+    def fmt(v):
+        return f"{v:.2f}"
+
+    W, H, M = portrait._WIDTH, portrait._HEIGHT, portrait._MARGIN
+    c = flows._pn(n)
+    (phi_min, phi_max), (psi_min, psi_max) = phi_range, psi_range
+    nx, ny = grid
+    sx = (W - 2 * M) / (phi_max - phi_min)
+    sy = (H - 2 * M) / (psi_max - psi_min)
+
+    def to_px(phi, psi):
+        return M + (phi - phi_min) * sx, H - M - (psi - psi_min) * sy
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{W}" height="{H}" '
+        f'viewBox="0 0 {W} {H}">',
+        f'<rect width="{W}" height="{H}" fill="white"/>',
+    ]
+    boundary = []
+    for sign in (1.0, -1.0):
+        seg = portrait._clip_line_to_box(sign, phi_min, phi_max, psi_min, psi_max)
+        if seg is not None:
+            (x0, y0), (x1, y1) = (to_px(p, q) for p, q in seg)
+            boundary.append(
+                f'<line x1="{fmt(x0)}" y1="{fmt(y0)}" x2="{fmt(x1)}" y2="{fmt(y1)}" '
+                f'stroke="#999999" stroke-width="1" stroke-dasharray="6,4"/>'
+            )
+    if boundary:
+        parts += ['<g id="boundary">', *boundary, "</g>"]
+    if psi_min <= 0.0 <= psi_max:
+        x0, y0 = to_px(max(phi_min, 0.0), 0.0)
+        x1, y1 = to_px(phi_max, 0.0)
+        parts.append(
+            f'<g id="axis"><line x1="{fmt(x0)}" y1="{fmt(y0)}" x2="{fmt(x1)}" '
+            f'y2="{fmt(y1)}" stroke="#0066cc" stroke-width="2"/></g>'
+        )
+
+    arrows, markers = [], []
+    for j in range(ny):
+        psi = psi_min if ny == 1 else psi_min + j * (psi_max - psi_min) / (ny - 1)
+        for i in range(nx):
+            phi = phi_min + i * (phi_max - phi_min) / (nx - 1)
+            if phi - abs(psi) <= 1e-9:
+                continue
+            try:
+                dphi, dpsi = flows._phase(c, phi, psi)
+            except (RangeExceededError, ValueError):
+                continue
+            cx, cy = to_px(phi, psi)
+            if math.hypot(dphi, dpsi) < portrait._FIXED_POINT_SPEED:
+                markers.append(f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="3.5" fill="#cc3300"/>')
+                continue
+            _, e = math.frexp(max(abs(dphi), abs(dpsi)))
+            ux, uy = math.ldexp(dphi, -e) * sx, -math.ldexp(dpsi, -e) * sy
+            speed = math.hypot(ux, uy)
+            if not math.isfinite(speed):
+                continue
+            ux, uy = ux / speed, uy / speed
+            half = portrait._ARROW_LEN / 2.0
+            x0, y0 = cx - ux * half, cy - uy * half
+            x1, y1 = cx + ux * half, cy + uy * half
+            arrows.append(
+                f'<line x1="{fmt(x0)}" y1="{fmt(y0)}" x2="{fmt(x1)}" y2="{fmt(y1)}" '
+                f'stroke="#555555" stroke-width="1"/>'
+            )
+            bx, by = -ux * 3.5, -uy * 3.5
+            px, py = -uy * 2.0, ux * 2.0
+            arrows.append(
+                f'<path d="M {fmt(x1)} {fmt(y1)} L {fmt(x1 + bx + px)} {fmt(y1 + by + py)} '
+                f'L {fmt(x1 + bx - px)} {fmt(y1 + by - py)} Z" fill="#555555"/>'
+            )
+    parts += ['<g id="vectors">', *arrows, "</g>"]
+    if markers:
+        parts += ['<g id="fixed-points">', *markers, "</g>"]
+
+    if starts:
+        parts.append('<g id="trajectories">')
+        for phi0, psi0 in starts:
+            points = portrait._trajectory_points(
+                c, phi0, psi0, traj_t_max, phi_min, phi_max, psi_min, psi_max
+            )
+            if len(points) >= 2:
+                coords = " ".join(f"{fmt(to_px(p, q)[0])},{fmt(to_px(p, q)[1])}" for p, q in points)
+                parts.append(
+                    f'<polyline points="{coords}" fill="none" stroke="#cc3300" stroke-width="1.5"/>'
+                )
+        parts.append("</g>")
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _guard_verdicts(n, phi_range, psi_range, grid):
+    """How many off-edge grid points ``_phase``'s range guard refuses and keeps."""
+    c = flows._pn(n)
+    (phi_min, phi_max), (psi_min, psi_max), (nx, ny) = phi_range, psi_range, grid
+    refused = kept = 0
+    for j in range(ny):
+        psi = psi_min if ny == 1 else psi_min + j * (psi_max - psi_min) / (ny - 1)
+        for i in range(nx):
+            phi = phi_min + i * (phi_max - phi_min) / (nx - 1)
+            if phi - abs(psi) > 1e-9:
+                try:
+                    flows._phase(c, phi, psi)
+                    kept += 1
+                except RangeExceededError:
+                    refused += 1
+    return refused, kept
+
+
+# the guard's lo is raised from n = 41: p2 >= 1.5e-7 refuses phi < 3.9e-4 near the axis
+LO_WINDOW = (41, (0.0, 1e-3), (-5e-4, 5e-4))
+# at n = 300 the guard keeps 0.394 <= phi^2 - psi^2 and phi^2 <= 8.58 (phi <= 2.93)
+HI_WINDOW = (300, PHI_RANGE, PSI_RANGE)
+
+
+@pytest.mark.parametrize("grid", [(15, 9), (48, 32)], ids=["15x9", "48x32"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_grid_matches_the_per_point_reference_on_the_pool_window(n, grid):
+    starts = (CRAWL_START, BLOWUP_START)
+    svg = portrait.render_portrait(n, PHI_RANGE, PSI_RANGE, grid=grid, starts=starts)
+    assert svg == reference_render(n, PHI_RANGE, PSI_RANGE, grid=grid, starts=starts)
+    assert svg.count("<polyline") == 2
+
+
+@pytest.mark.parametrize("window", [LO_WINDOW, HI_WINDOW], ids=["lo-n41", "hi-n300"])
+@pytest.mark.parametrize("grid", [(15, 9), (48, 32)], ids=["15x9", "48x32"])
+def test_grid_matches_the_reference_where_the_range_guard_trips_for_some_points(window, grid):
+    refused, kept = _guard_verdicts(*window, grid)
+    assert refused > 0 and kept > 0
+    svg = portrait.render_portrait(*window, grid=grid)
+    assert svg == reference_render(*window, grid=grid)
+    assert svg.count("<path ") == kept
+
+
+def test_grid_point_on_the_fixed_point_draws_a_marker():
+    # the default 15x9 grid over (0, 4) x (-3, 3) hits (2.0, 0.0), the upper
+    # axis fixed point at n = 2, where the field is exactly zero
+    assert rhs_phase(2, 2.0, 0.0) == (0.0, 0.0)
+    svg = portrait.render_portrait(2, PHI_RANGE, PSI_RANGE)
+    assert svg == reference_render(2, PHI_RANGE, PSI_RANGE)
+    assert svg.count("<circle") == 1
+    assert f'<circle cx="{_px(2.0, 0.0)[0]}" cy="{_px(2.0, 0.0)[1]}"' in svg
+
+
+@pytest.mark.parametrize("grid", [(2, 1), (7, 1)])
+@pytest.mark.parametrize("psi_range", [PSI_RANGE, (-0.5, 3.0)])
+def test_grid_matches_the_reference_on_a_single_row(grid, psi_range):
+    svg = portrait.render_portrait(2, PHI_RANGE, psi_range, grid=grid)
+    assert svg == reference_render(2, PHI_RANGE, psi_range, grid=grid)
+    assert svg.count("<path ") > 0
+
+
+def test_a_pixel_vector_that_is_not_finite_draws_no_arrow():
+    # a window 1e-307 high scales psi by an infinite sy, so no grid point
+    # has a finite pixel vector
+    window = ((1.0, 3.0), (0.0, 1e-307))
+    assert math.isinf((portrait._HEIGHT - 2 * portrait._MARGIN) / 1e-307)
+
+    def vectors(svg):
+        return svg.split('<g id="vectors">')[1].split("</g>")[0]
+
+    svg = portrait.render_portrait(2, *window)
+    assert vectors(svg) == vectors(reference_render(2, *window)) == "\n"
