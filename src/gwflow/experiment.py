@@ -4,7 +4,8 @@ A run starts at ``(phi, psi) = (N, -epsilon)`` -- a slightly asymmetric
 perturbation of a fast-expanding locus point -- and integrates the
 unit-speed system.  Four monitors locate where the Ricci eigenvalues r1 and
 r2 change sign and where the two divergence functionals ``psi * phi**(2n-2)``
-and ``r1 * phi`` cross their thresholds.  One observer records r1, r2, r3 and
+and ``r1 * phi`` cross their thresholds, ``-1e3`` and ``-1e2``: the fixed
+levels of acceptance criterion 8.  One observer records r1, r2, r3 and
 both functionals at every sample; r3 is recorded for
 :func:`positivity_timeline` but not monitored, since nothing reads its sign
 changes.  The report records when eigenvalues turn negative, the final count
@@ -40,12 +41,14 @@ __all__ = [
     "run_theorem_experiment",
     "asymptotic_slope",
     "decay_bound_check",
-    "divergence_check",
     "positivity_timeline",
 ]
 
 _DEFAULT_PHI_CANDIDATES = (4.0, 6.0, 8.0, 10.0, 15.0, 20.0, 30.0)
 _DECAY_SLACK = 1e-9
+# the divergence levels of acceptance criterion 8
+_PSI_PHI_THRESHOLD = -1e3
+_R1_PHI_THRESHOLD = -1e2
 
 
 class BadInitialDataError(ValueError):
@@ -67,14 +70,12 @@ class ExperimentConfig:
     N: float | None = None
     epsilon: float = 1e-3
     t_max: float = 1e4
-    psi_phi_threshold: float = -1e3
-    r1_phi_threshold: float = -1e2
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         flows._pn(self.n)  # n >= 2, and small enough for float constants
-        for name in ("N", "epsilon", "psi_phi_threshold", "r1_phi_threshold"):
+        for name in ("N", "epsilon"):
             v = getattr(self, name)
             if v is not None and not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -183,8 +184,10 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     One observer evaluates each state once.  Its record is the run's
     per-sample record, which the report reads, and it feeds the ``r1``,
     ``r2`` and ``r1_phi`` monitors; the ``psi_phi_pow`` monitor evaluates no
-    spectrum.  ``r3`` is recorded for :func:`positivity_timeline` but not
-    monitored, as no report field reads its sign changes.
+    spectrum.  The two divergence monitors and flags use criterion 8's
+    fixed levels, ``psi * phi**(2n-2) < -1e3`` and ``r1 * phi < -1e2``.
+    ``r3`` is recorded for :func:`positivity_timeline` but not monitored, as
+    no report field reads its sign changes.
     No monitor stops the run: it ends at ``t_max`` unless a range guard
     or an integrator limit ends it first.  (A stop once both ``r1`` and
     ``r2`` are negative could never fire: the ``r1 + r2`` identity in
@@ -237,8 +240,8 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     monitors = [
         Monitor("r1", lambda t, y: observe(t, y)["r1"]),
         Monitor("r2", lambda t, y: observe(t, y)["r2"]),
-        Monitor("psi_phi_pow", lambda t, y: psi_phi_pow(t, y) - cfg.psi_phi_threshold),
-        Monitor("r1_phi", lambda t, y: observe(t, y)["r1_phi"] - cfg.r1_phi_threshold),
+        Monitor("psi_phi_pow", lambda t, y: psi_phi_pow(t, y) - _PSI_PHI_THRESHOLD),
+        Monitor("r1_phi", lambda t, y: observe(t, y)["r1_phi"] - _R1_PHI_THRESHOLD),
     ]
     traj = integrate(field_reparam(n), y0, cfg.integrator_config(), monitors, observe)
     diag = traj.diagnostics
@@ -273,8 +276,8 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         slope_target=(-4 * n + 5) / 3.0,
         decay_bound_holds=decay_holds,
         decay_t0=decay_t0,
-        divergence_psi_phi_pow=bool(np.any(diag["psi_phi_pow"] < cfg.psi_phi_threshold)),
-        divergence_r1_phi=bool(np.any(diag["r1_phi"] < cfg.r1_phi_threshold)),
+        divergence_psi_phi_pow=bool(np.any(diag["psi_phi_pow"] < _PSI_PHI_THRESHOLD)),
+        divergence_r1_phi=bool(np.any(diag["r1_phi"] < _R1_PHI_THRESHOLD)),
         termination=traj.termination,
     )
 
@@ -313,28 +316,6 @@ def decay_bound_check(trajectory: Trajectory, n: int) -> tuple[bool, float | Non
     if k0 < 0.9 * seq.size:
         return True, float(trajectory.t[k0])
     return False, None
-
-
-def divergence_check(
-    trajectory: Trajectory,
-    n: int,
-    psi_phi_threshold: float = ExperimentConfig.psi_phi_threshold,
-    r1_phi_threshold: float = ExperimentConfig.r1_phi_threshold,
-) -> dict[str, bool]:
-    """Whether the two divergence functionals dipped below their thresholds
-    at any sample.
-
-    Evaluates the spectrum afresh at every sample; :func:`run_theorem_experiment`
-    reads the same flags off its recorded diagnostics instead.
-    """
-    phi = trajectory.y[:, 0]
-    psi = trajectory.y[:, 1]
-    psi_phi = psi * phi ** (2 * n - 2)
-    r1 = np.array([_phase_ricci_values(n, p, q)[0] for p, q in trajectory.y])
-    return {
-        "psi_phi_pow": bool(np.any(psi_phi < psi_phi_threshold)),
-        "r1_phi": bool(np.any(r1 * phi < r1_phi_threshold)),
-    }
 
 
 def positivity_timeline(

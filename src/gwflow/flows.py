@@ -40,6 +40,8 @@ infinity and integration must stop cleanly.  What each guard bounds:
 * :func:`rhs_phase` (and :func:`rhs_reparam`, :func:`rhs_submersion`) keeps
   ``(phi**2 - psi**2)**n`` and ``phi**(2n)`` in range, and from ``n = 41``
   the term ``4**n n phi / (2q (phi**2 - psi**2)**n)`` finite.
+  :func:`rhs_submersion` refuses through the guard of :func:`rhs_phase` at
+  ``psi = 0``, with the same exception and reason.
 
 Each slice formulation reads its bounds from one record, built, and ``n``
 validated, once per ``n``: ``_reduced_bounds`` for the reduced system and
@@ -243,12 +245,8 @@ def _phase_values(c: _Pn, phi, psi):
 def rhs_submersion(n: int, phi: float) -> float:
     """Axis restriction: the scalar speed of ``phi`` on the locus ``psi = 0``."""
     c = _pn(n)
-    if not phi > 0:
-        raise InadmissibleStateError(f"phi must be positive, got {phi}")
-    if phi * phi > c.hi or phi * phi < c.lo:  # the guard of rhs_phase at psi = 0
-        raise RangeExceededError(
-            f"(phi^2 - psi^2)^{n} outside representable range at phi={phi}, psi=0.0"
-        )
+    if not (phi > 0 and c.lo <= phi * phi <= c.hi):
+        _phase(c, phi, 0.0)  # the guard of rhs_phase at psi = 0 refuses such a phi
     u = phi ** (2 * n - 1)
     return (
         -2.0 + 3 * u / (4.0 ** (n - 1) * (n + 2)) + 4.0 ** n * n / (2 * (n + 2) * u)

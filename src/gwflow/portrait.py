@@ -60,8 +60,9 @@ def render_portrait(
     guard draws nothing, nor does one on the window's edge whose flow does
     not point into the window.  A non-finite window bound or start, or a
     ``traj_t_max`` that is not positive and finite, is refused with
-    :class:`ValueError`, and so is an ``n`` that :func:`rhs_phase` refuses.
-    A grid point where the field is not finite draws nothing.
+    :class:`ValueError`, and so is an ``n`` that :func:`rhs_phase` refuses
+    or a window too thin for a finite pixel scale.  A grid point where the
+    field is not finite draws nothing.
     """
     c = _pn(n)
     phi_min, phi_max = phi_range
@@ -86,6 +87,11 @@ def render_portrait(
 
     sx = (_WIDTH - 2 * _MARGIN) / (phi_max - phi_min)
     sy = (_HEIGHT - 2 * _MARGIN) / (psi_max - psi_min)
+    if not (math.isfinite(sx) and math.isfinite(sy)):
+        raise ValueError(
+            f"bounding box {phi_range} x {psi_range} is too thin to draw: "
+            f"pixel scale ({sx}, {sy}) is not finite"
+        )
 
     def to_px(phi, psi):
         # floats or float64 arrays, with the same bits either way

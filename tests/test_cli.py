@@ -189,8 +189,8 @@ PORTRAIT = ("portrait", "--n", "2", "--phi-range", "1:3", "--psi-range", "-1:1")
         ((*PHASE_FLOW, "--t-max", "inf", "--max-steps", "1000"), 1, "t_max must be"),
         (("experiment", "--n", "2", "--t-max", "inf"), 1, "t_max must be"),
         (("experiment", "--n", "2", "--epsilon", "nan"), 1, "epsilon must be finite"),
-        (("experiment", "--n", "2", "--psi-phi-threshold", "nan"), 1, "psi_phi_threshold"),
-        (("experiment", "--n", "2", "--r1-phi-threshold=-inf"), 1, "r1_phi_threshold"),
+        (("experiment", "--n", "2", "--N", "nan"), 1, "N must be finite"),
+        (("experiment", "--n", "2", "--N=-inf"), 1, "N must be finite"),
         (("portrait", "--n", "2", "--phi-range", "0:inf", "--psi-range", "-1:1"), 1, "finite"),
         (("portrait", "--n", "2", "--phi-range", "1:3", "--psi-range", "nan:1"), 1, "finite"),
         ((*PORTRAIT, "--start", "nan,0.5"), 1, "start (nan, 0.5) must be finite"),
@@ -436,6 +436,18 @@ class TestSystemRegistry:
                   "config": "unknown config key 'event_tol'"}
         assert reason[how] in err
 
+    @pytest.mark.parametrize(
+        "how,name", [("flag", "psi_phi_threshold"), ("config", "r1_phi_threshold")]
+    )
+    def test_experiment_has_no_threshold_options(self, capsys, tmp_path, how, name):
+        # the divergence levels are criterion 8's constants, not settings
+        option = _set_option(tmp_path, name, -5.0, how)
+        code, out, err = run_cli(capsys, "experiment", "--n", "2", *option)
+        assert (code, out) == (1, "")
+        reason = {"flag": f"unrecognized arguments: --{name.replace('_', '-')}",
+                  "config": f"unknown config key {name!r}"}
+        assert reason[how] in err
+
     # the experiment's fields, then the portrait and check options
     @pytest.mark.parametrize("how", ["flag", "config"])
     @pytest.mark.parametrize(
@@ -498,16 +510,6 @@ class TestExperimentCommand:
     def test_missing_n_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "experiment")
         assert code == 1
-
-    def test_negative_threshold_flags_parse(self, capsys, tmp_path):
-        out_path = tmp_path / "report.json"
-        code, _, _ = run_cli(
-            capsys, "experiment", "--n", "2", "--t-max", "50",
-            "--psi-phi-threshold", "-5", "--r1-phi-threshold", "-7",
-            "--output", str(out_path),
-        )
-        assert code in (0, 1)
-        assert json.loads(out_path.read_text())["n"] == 2
 
 
 class TestPortraitCommand:

@@ -55,6 +55,31 @@ def test_state_off_the_domain_is_inadmissible(rhs, state):
         rhs(*state)
 
 
+def _refusal(call):
+    """The type and message of the guard's refusal, or None if ``call`` runs."""
+    try:
+        call()
+    except (InadmissibleStateError, RangeExceededError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 41, 300])
+def test_submersion_refuses_as_rhs_phase_refuses_on_the_axis(n):
+    c = flows._pn(n)
+    for phi in (0.0, -1.0, math.nan):
+        assert _refusal(lambda: rhs_submersion(n, phi)) == _refusal(lambda: rhs_phase(n, phi, 0.0))
+        assert _refusal(lambda: rhs_submersion(n, phi)) is not None
+    for edge in (math.sqrt(c.lo), math.sqrt(c.hi)):
+        refused = []
+        for phi in (math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)):
+            got = _refusal(lambda: rhs_submersion(n, phi))
+            assert got == _refusal(lambda: rhs_phase(n, phi, 0.0)), phi
+            refused.append(got is not None)
+        # one ulp either side of the edge lies on either side of the guard
+        assert sorted(refused) == [False, True]
+
+
 class TestFullSystem:
     def test_einstein_point_is_stationary(self):
         assert rhs_full(make_pn(2), 1.0, 1.0, 1.0) == (0.0, 0.0, 0.0)

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from gwflow import flows, portrait
+from gwflow import cli, flows, portrait
 from gwflow.flows import RangeExceededError, field_phase, rhs_phase
 from gwflow.integrate import IntegratorConfig, Termination, integrate
 
@@ -302,14 +302,17 @@ def test_grid_matches_the_reference_on_a_single_row(grid, psi_range):
     assert svg.count("<path ") > 0
 
 
-def test_a_pixel_vector_that_is_not_finite_draws_no_arrow():
-    # a window 1e-307 high scales psi by an infinite sy, so no grid point
-    # has a finite pixel vector
+def test_a_window_too_thin_for_a_finite_pixel_scale_is_refused(capsys):
+    # a window 1e-307 high scales psi by an infinite sy, which would put the
+    # axis and the markers at nan or infinite pixel coordinates
     window = ((1.0, 3.0), (0.0, 1e-307))
     assert math.isinf((portrait._HEIGHT - 2 * portrait._MARGIN) / 1e-307)
-
-    def vectors(svg):
-        return svg.split('<g id="vectors">')[1].split("</g>")[0]
-
-    svg = portrait.render_portrait(2, *window)
-    assert vectors(svg) == vectors(reference_render(2, *window)) == "\n"
+    for phi_range, psi_range in (window, ((0.0, 1e-307), (-1.0, 1.0))):
+        with pytest.raises(ValueError, match="too thin to draw"):
+            portrait.render_portrait(2, phi_range, psi_range)
+    argv = ["portrait", "--n", "2", "--phi-range", "1:3", "--psi-range", "0:1e-307"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too thin to draw" in captured.err
+    assert "Traceback" not in captured.err
