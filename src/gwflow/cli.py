@@ -12,6 +12,9 @@ flags, the config-file keys, their types and defaults, and the required
 options all come from it.  An option's value is its flag's, else the
 ``--config`` file's entry, else the default.
 
+A ``flow`` CSV row gives each float to 17 significant digits, so that it
+reads back as the same float, and ``neg_count`` as an integer.
+
 Exit codes: 0 success, 1 bad arguments (or an experiment whose final
 negative-eigenvalue count differs from ``d1 = 4(n-1)``, the multiplicity of
 the r1 block -- for example when ``--t-max`` ends the run before r1 turns
@@ -62,6 +65,9 @@ def _param_default(fn, name: str):
 
 _TRAJ_T_MAX = _param_default(render_portrait, "traj_t_max")
 
+# the state of every system, in first-use order (x1, x2, x3, phi, psi)
+_STATE = tuple(dict.fromkeys(k for s in SYSTEMS.values() for k in s.state))
+
 _REQUIRED = object()  # the default of an option the command cannot run without
 
 
@@ -85,8 +91,7 @@ _COMMANDS = {
     "flow": {
         "n": (int, _REQUIRED),
         "system": (str, _REQUIRED, {"choices": list(SYSTEMS)}),
-        # the state of every system, in first-use order (x1, x2, x3, phi, psi)
-        **dict.fromkeys((k for s in SYSTEMS.values() for k in s.state), (float, None)),
+        **dict.fromkeys(_STATE, (float, None)),
         # the integrator's settings
         **_options(IntegratorConfig),
         "t_max": (float, 10.0),
@@ -211,8 +216,7 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _g17(v: float) -> str:
-    return f"{v:.17g}"
+_CSV_ROW = ",".join(["%.17g"] * 11) + ",%d"
 
 
 def _csv_lines(system: str, n: int, traj: Trajectory) -> Iterable[str]:
@@ -232,14 +236,8 @@ def _csv_lines(system: str, n: int, traj: Trajectory) -> Iterable[str]:
         )
     yield CSV_HEADER
     for t, (m, phi, psi), spec in zip(traj.t.tolist(), rows, spectra):
-        x1, x2, x3 = m.xs
-        v = volume(space, m)
-        cells = [
-            _g17(float(t)), _g17(x1), _g17(x2), _g17(x3), _g17(phi), _g17(psi),
-            _g17(spec.r1), _g17(spec.r2), _g17(spec.r3), _g17(spec.scalar),
-            _g17(v), str(negative_count(spec)),
-        ]
-        yield ",".join(cells)
+        yield _CSV_ROW % (t, *m.xs, phi, psi, *spec.values, spec.scalar, volume(space, m),
+                          negative_count(spec))
 
 
 def cmd_flow(opts: dict, output: str | None) -> int:
@@ -250,6 +248,9 @@ def cmd_flow(opts: dict, output: str | None) -> int:
     missing = [_flag(k) for k in state if opts[k] is None]
     if missing:
         raise _UsageError(f"system {system!r} requires {', '.join(missing)}")
+    foreign = [_flag(k) for k in _STATE if k not in state and opts[k] is not None]
+    if foreign:
+        raise _UsageError(f"system {system!r} does not take {', '.join(foreign)}")
 
     try:
         config = IntegratorConfig(**{k: opts[k] for k in _options(IntegratorConfig) if k in opts})

@@ -249,7 +249,7 @@ def rhs_submersion(n: int, phi: float) -> float:
         _phase(c, phi, 0.0)  # the guard of rhs_phase at psi = 0 refuses such a phi
     u = phi ** (2 * n - 1)
     return (
-        -2.0 + 3 * u / (4.0 ** (n - 1) * (n + 2)) + 4.0 ** n * n / (2 * (n + 2) * u)
+        -2.0 + 3 * u / (4.0 ** (n - 1) * (n + 2)) + c.c4 / (2 * (n + 2) * u)
     ) / (2 * n - 1)
 
 

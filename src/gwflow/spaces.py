@@ -266,15 +266,15 @@ def _phase_ricci_values(n: int, phi: float, psi: float) -> tuple[float, float, f
     # r2(phi, psi) = r1(phi, -psi): the term odd in psi flips sign, the rest
     # is shared.  r3 carries the even factor (phi^2 + psi^2)/2.
     p2 = phi * phi - psi * psi
-    pow4 = 4.0 ** (n - 1)
-    shared = -pow4 / ((n + 2) * p2 ** n)
-    odd = phi * psi * p2 ** (n - 2) / (pow4 * (n + 2))
+    pow4, p2n, p2n2 = 4.0 ** (n - 1), p2 ** n, p2 ** (n - 2)
+    shared = -pow4 / ((n + 2) * p2n)
+    odd = phi * psi * p2n2 / (pow4 * (n + 2))
     r1 = 1.0 / (phi + psi) + odd + shared
     r2 = 1.0 / (phi - psi) - odd + shared
     r3 = (
         p2 ** (n - 1) / (2 * pow4)
-        - (n - 1) * (phi * phi + psi * psi) * p2 ** (n - 2) / (2 * pow4 * (n + 2))
-        + pow4 * (n - 1) / ((n + 2) * p2 ** n)
+        - (n - 1) * (phi * phi + psi * psi) * p2n2 / (2 * pow4 * (n + 2))
+        + pow4 * (n - 1) / ((n + 2) * p2n)
     )
     return r1, r2, r3
 
@@ -291,17 +291,15 @@ def ricci_phase(p: PhasePoint) -> RicciSpectrum:
 
     Agrees with :func:`ricci_coefficients` composed with :func:`from_phase`;
     implemented directly in ``(phi, psi)`` so the two routes cross-check each
-    other.
+    other.  Refuses an ``n`` above 508: ``2 * 4**(n-1) * (n+2)`` overflows.
     """
-    r1, r2, r3 = _phase_ricci_values(p.n, p.phi, p.psi)
-    space = make_pn(p.n)
-    return RicciSpectrum(r1, r2, r3, *space.dims)
+    if p.n > 508:
+        raise ValueError(f"n={p.n} is too large: the constants of P_n overflow a float")
+    return RicciSpectrum(*_phase_ricci_values(p.n, p.phi, p.psi), *make_pn(p.n).dims)
 
 
 def _sorted_blocks(spectrum: RicciSpectrum) -> list[tuple[float, int]]:
-    return sorted(
-        [(spectrum.r1, spectrum.d1), (spectrum.r2, spectrum.d2), (spectrum.r3, spectrum.d3)]
-    )
+    return sorted(zip(spectrum.values, spectrum.dims))
 
 
 def k_positive(spectrum: RicciSpectrum, k: int) -> bool:
@@ -322,7 +320,7 @@ def k_positive(spectrum: RicciSpectrum, k: int) -> bool:
 
 def negative_count(spectrum: RicciSpectrum) -> int:
     """Number of strictly negative eigenvalues, counted with multiplicity."""
-    return sum(d for r, d in _sorted_blocks(spectrum) if r < 0.0)
+    return sum(d for r, d in zip(spectrum.values, spectrum.dims) if r < 0.0)
 
 
 def smallest_k_positive(spectrum: RicciSpectrum) -> int | None:

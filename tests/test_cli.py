@@ -14,8 +14,20 @@ from gwflow import checks, cli
 from gwflow.checks import CheckResult, run_invariant_checks
 from gwflow.experiment import ExperimentConfig
 from gwflow.flows import SYSTEMS, submersion_fixed_points
-from gwflow.integrate import IntegratorConfig
+from gwflow.integrate import IntegratorConfig, Termination, integrate
 from gwflow.portrait import render_portrait
+from gwflow.spaces import (
+    Metric,
+    RicciSpectrum,
+    _chart_values,
+    _phase_ricci_values,
+    _x3_values,
+    make_pn,
+    negative_count,
+    ricci_coefficients,
+    volume,
+    x3_from_volume_one,
+)
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +177,65 @@ class TestFlowCommand:
         code, _, err = run_cli(capsys, "flow", "--n", "2", "--config", str(cfg))
         assert code == 1
         assert "frobnicate" in err
+
+
+def reference_csv_lines(system, n, traj):
+    """``cli._csv_lines`` as a per-cell writer: each float through its own
+    ``f"{v:.17g}"``, the cells joined with commas."""
+
+    def g17(v):
+        return f"{v:.17g}"
+
+    space = make_pn(n)
+    cols = traj.y.T.tolist()
+    if SYSTEMS[system].state[0] == "x1":
+        if len(cols) == 2:
+            cols.append([_x3_values(n, x1, x2) for x1, x2 in zip(*cols)])
+        rows = [(Metric(*xs), xs[0] + xs[1], xs[0] - xs[1]) for xs in zip(*cols)]
+        spectra = [ricci_coefficients(space, m) for m, _, _ in rows]
+    else:
+        if len(cols) == 1:
+            cols.append([0.0] * len(traj))
+        rows = [(Metric(*_chart_values(n, phi, psi)), phi, psi) for phi, psi in zip(*cols)]
+        spectra = [
+            RicciSpectrum(*_phase_ricci_values(n, phi, psi), *space.dims) for _, phi, psi in rows
+        ]
+    yield cli.CSV_HEADER
+    for t, (m, phi, psi), spec in zip(traj.t.tolist(), rows, spectra):
+        x1, x2, x3 = m.xs
+        cells = [
+            g17(float(t)), g17(x1), g17(x2), g17(x3), g17(phi), g17(psi),
+            g17(spec.r1), g17(spec.r2), g17(spec.r3), g17(spec.scalar),
+            g17(volume(space, m)), str(negative_count(spec)),
+        ]
+        yield ",".join(cells)
+
+
+def _csv_start(system, n):
+    """A start ``psi = phi / 10`` from which every system runs at ``n``.  At
+    n = 503 the phase guard keeps ``phi`` below 1.9, where the flow is so fast
+    that most runs end at the range guard after their first row."""
+    phi = {2: 1.2, 3: 1.2, 41: 2.15, 300: 2.0, 503: 1.8}[n]
+    psi = 0.1 * phi
+    x1, x2 = 0.5 * (phi + psi), 0.5 * (phi - psi)
+    return {"full": [x1, x2, x3_from_volume_one(n, x1, x2)], "reduced": [x1, x2],
+            "phase": [phi, psi], "reparam": [phi, psi], "submersion": [phi]}[system]
+
+
+@pytest.mark.parametrize("n", [2, 3, 41, 300, 503])
+@pytest.mark.parametrize("system", list(SYSTEMS))
+def test_csv_rows_match_the_per_cell_writer(system, n):
+    traj = integrate(SYSTEMS[system].field(n), _csv_start(system, n),
+                     IntegratorConfig(t_max=0.5, max_step=0.05))
+    assert len(traj) >= (1 if n == 503 else 10)
+    assert list(cli._csv_lines(system, n, traj)) == list(reference_csv_lines(system, n, traj))
+
+
+def test_csv_rows_of_a_capped_run_match_the_per_cell_writer():
+    traj = integrate(SYSTEMS["phase"].field(3), _csv_start("phase", 3),
+                     IntegratorConfig(t_max=0.5, max_steps=3))
+    assert traj.termination is Termination.MAX_STEPS
+    assert list(cli._csv_lines("phase", 3, traj)) == list(reference_csv_lines("phase", 3, traj))
 
 
 PHASE_FLOW = ("flow", "--n", "2", "--system", "phase", "--phi", "2", "--psi", "0")
@@ -357,24 +428,27 @@ OPTION_VALUES = {
                  "grid": "6x4", "start": ["2,0.2", "2.5,-0.1"], "traj_t_max": 1.0},
     "check": {"n_max": 2},
 }
-# the options every run of a command is given, unless that option is the one tested
+# the options every run of a command is given, unless that option is the one
+# tested; a flow run is given its system's state too, and a t_max short enough
+# for a full-system run off the axis to end before it blows up
 BASE_OPTIONS = {
-    "flow": ("n", "system", "phi", "psi"),
+    "flow": ("n", "system", "t_max"),
     "experiment": ("n",),
     "portrait": ("n", "phi_range", "psi_range"),
     "check": (),
 }
 
 
-def _run_with_option(capsys, monkeypatch, tmp_path, command, name, how):
+def _run_with_option(capsys, monkeypatch, tmp_path, command, name, how, **overrides):
     """Run ``command`` with option ``name`` set by flag or config file, and
     check that its handler gets the option's value from either."""
     seen = []
     handler = getattr(cli, f"cmd_{command}")
     monkeypatch.setattr(cli, f"cmd_{command}", lambda opts, out: seen.append(opts) or handler(opts, out))
-    values = OPTION_VALUES[command]
+    values = {**OPTION_VALUES[command], **overrides}
+    base = BASE_OPTIONS[command] + (SYSTEMS[values["system"]].state if command == "flow" else ())
     argv = [command]
-    for key in BASE_OPTIONS[command]:
+    for key in base:
         if key != name:
             argv += _set_option(tmp_path, key, values[key], "flag")
     argv += _set_option(tmp_path, name, values[name], how)
@@ -423,8 +497,29 @@ class TestSystemRegistry:
     @pytest.mark.parametrize("how", ["flag", "config"])
     @pytest.mark.parametrize("name", list(OPTION_VALUES["flow"]))
     def test_flow_accepts_integrator_field(self, capsys, monkeypatch, tmp_path, name, how):
-        code, _, err = _run_with_option(capsys, monkeypatch, tmp_path, "flow", name, how)
+        # a scale factor is a state option of the full system, not of the phase system
+        system = "full" if name in SYSTEMS["full"].state else "phase"
+        code, _, err = _run_with_option(capsys, monkeypatch, tmp_path, "flow", name, how,
+                                        system=system)
         assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv,name,value",
+        [
+            (("--system", "phase", "--phi", "2", "--psi", "0.1"), "x1", 5.0),
+            (("--system", "submersion", "--phi", "2.5"), "psi", 0.3),
+            (("--system", "reduced", "--x1", "0.7", "--x2", "0.6"), "x3", 1.3),
+        ],
+        ids=["phase-x1", "submersion-psi", "reduced-x3"],
+    )
+    def test_flow_refuses_a_state_option_its_system_does_not_take(
+        self, capsys, tmp_path, argv, name, value, how
+    ):
+        option = _set_option(tmp_path, name, value, how)
+        code, out, err = run_cli(capsys, "flow", "--n", "2", *argv, *option)
+        assert (code, out) == (1, "")
+        assert err == f"gwflow: error: system {argv[1]!r} does not take --{name}\n"
 
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_flow_has_no_event_tol(self, capsys, tmp_path, how):

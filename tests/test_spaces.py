@@ -306,6 +306,77 @@ class TestRicciPhase:
         assert (a.r1, a.r2, a.r3) == (b.r2, b.r1, b.r3)
 
 
+def reference_phase_ricci_values(n, phi, psi):
+    """``spaces._phase_ricci_values`` with each power of ``p2`` written where
+    it is used: ``p2 ** n`` and ``p2 ** (n - 2)`` are each evaluated twice."""
+    p2 = phi * phi - psi * psi
+    pow4 = 4.0 ** (n - 1)
+    shared = -pow4 / ((n + 2) * p2 ** n)
+    odd = phi * psi * p2 ** (n - 2) / (pow4 * (n + 2))
+    r1 = 1.0 / (phi + psi) + odd + shared
+    r2 = 1.0 / (phi - psi) - odd + shared
+    r3 = (
+        p2 ** (n - 1) / (2 * pow4)
+        - (n - 1) * (phi * phi + psi * psi) * p2 ** (n - 2) / (2 * pow4 * (n + 2))
+        + pow4 * (n - 1) / ((n + 2) * p2 ** n)
+    )
+    return r1, r2, r3
+
+
+def _outcome(fn, *args):
+    """The bytes of each value ``fn`` returns, or the type and text of what it raised."""
+    try:
+        values = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+def _phase_points(rng, size):
+    """Seeded ``(phi, psi)``: admissible and not, with ``psi = ±phi`` and
+    scales from 1e-200 to 1e200, where the powers underflow or overflow."""
+    phi = np.exp(rng.uniform(-4.0, 4.0, size))
+    psi = phi * rng.uniform(-1.2, 1.2, size)
+    k = size // 8
+    psi[:k] = phi[:k] * rng.choice([-1.0, 0.0, 1.0], k)
+    scale = rng.choice([1e-200, 1e-20, 1e20, 1e200], k)
+    phi[k:2 * k] *= scale
+    psi[k:2 * k] *= scale
+    return phi, psi
+
+
+class TestPhaseRicciKernel:
+    def test_scalars_match_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(24)
+        for n in range(2, 504):
+            for phi, psi in zip(*(a.tolist() for a in _phase_points(rng, 24))):
+                assert _outcome(spaces._phase_ricci_values, n, phi, psi) == _outcome(
+                    reference_phase_ricci_values, n, phi, psi
+                ), (n, phi, psi)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 41, 300])
+    def test_arrays_match_the_reference_bit_for_bit(self, n):
+        phi, psi = _phase_points(np.random.default_rng(n), 4000)
+        with np.errstate(all="ignore"):
+            got = _outcome(spaces._phase_ricci_values, n, phi, psi)
+            want = _outcome(reference_phase_ricci_values, n, phi, psi)
+        assert got == want
+
+    @pytest.mark.parametrize("n", [509, 512, 513, 600])
+    def test_ricci_phase_refuses_an_n_whose_constants_overflow(self, n):
+        # from 509 the kernel returned r3 = nan and r1, r2 without their
+        # n-dependent terms; from 513 it raised a bare OverflowError
+        with pytest.raises(ValueError, match=f"n={n} is too large"):
+            ricci_phase(PhasePoint(2.0, 0.1, n))
+
+    def test_ricci_phase_keeps_its_bits_at_the_largest_n(self):
+        p = PhasePoint(2.0, 0.1, 508)
+        got = ricci_phase(p).values
+        assert got == reference_phase_ricci_values(508, 2.0, 0.1)
+        want = ricci_coefficients(make_pn(508), Metric(*from_phase(p))).values
+        assert got == pytest.approx(want, rel=1e-12)
+
+
 class TestPositivity:
     def test_definitional_sums(self):
         s = spectrum(-0.1, -0.1, 1.0)
@@ -321,6 +392,15 @@ class TestPositivity:
     def test_negative_count_uses_multiplicity(self):
         assert negative_count(spectrum(-1.0, 0.5, -0.2)) == 8
         assert negative_count(spectrum(-1.0, 0.5, -0.2, d1=8, d2=8, d3=4)) == 12
+
+    def test_negative_count_matches_the_sorted_block_count(self):
+        rng = np.random.default_rng(24)
+        pool = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                *rng.normal(size=9).tolist()]
+        for _ in range(3000):
+            r = [pool[i] for i in rng.integers(len(pool), size=3)]
+            s = spectrum(*r, *rng.integers(1, 40, size=3).tolist())
+            assert negative_count(s) == sum(d for v, d in spaces._sorted_blocks(s) if v < 0.0)
 
     def test_k_bounds_enforced(self):
         s = spectrum(1.0, 1.0, 1.0)
