@@ -200,23 +200,25 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     psi0 = -cfg.epsilon
     pow_exp = 2 * n - 2
 
-    def psi_phi_pow(t: float, y: tuple[float, float]) -> float:
-        phi, psi = y
-        return psi * phi ** pow_exp
-
-    # the monitors and the per-sample record ask for the same state in turn
-    last_state, last_record = None, {}
+    # the monitors and the per-sample record ask for the same state in turn;
+    # states are compared by value, component by component, so an ndarray
+    # state works too
+    last_phi = last_psi = None
+    last_record = {}
 
     def observe(t: float, y: tuple[float, float]) -> dict[str, float]:
-        nonlocal last_state, last_record
+        nonlocal last_phi, last_psi, last_record
         phi, psi = y
-        if (phi, psi) != last_state:
+        if phi != last_phi or psi != last_psi:
             r1, r2, r3 = _phase_ricci_values(n, phi, psi)
-            last_state = (phi, psi)
-            last_record = dict(
-                r1=r1, r2=r2, r3=r3, psi_phi_pow=psi_phi_pow(t, y), r1_phi=r1 * phi
-            )
+            last_phi, last_psi = phi, psi
+            last_record = {"r1": r1, "r2": r2, "r3": r3,
+                           "psi_phi_pow": psi * phi ** pow_exp, "r1_phi": r1 * phi}
         return last_record
+
+    def psi_phi_pow_level(t: float, y: tuple[float, float]) -> float:
+        phi, psi = y
+        return psi * phi ** pow_exp - _PSI_PHI_THRESHOLD
 
     def spectrum(r1: float, r2: float, r3: float, **_) -> RicciSpectrum:
         return RicciSpectrum(r1, r2, r3, *space.dims)
@@ -240,7 +242,7 @@ def run_theorem_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     monitors = [
         Monitor("r1", lambda t, y: observe(t, y)["r1"]),
         Monitor("r2", lambda t, y: observe(t, y)["r2"]),
-        Monitor("psi_phi_pow", lambda t, y: psi_phi_pow(t, y) - _PSI_PHI_THRESHOLD),
+        Monitor("psi_phi_pow", psi_phi_pow_level),
         Monitor("r1_phi", lambda t, y: observe(t, y)["r1_phi"] - _R1_PHI_THRESHOLD),
     ]
     traj = integrate(field_reparam(n), y0, cfg.integrator_config(), monitors, observe)

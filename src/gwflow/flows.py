@@ -23,15 +23,24 @@ the form :func:`~gwflow.integrate.integrate` hands it, so such a tuple must
 hold Python floats; any other ``y`` (a list, an ndarray) is converted to
 floats once.  Either way the field gives the same bits.
 
-The formulas of :func:`rhs_full`, :func:`rhs_reduced_x` and :func:`rhs_phase`
-live in unguarded kernels (``_full_values``, ``_reduced_values``,
-``_phase_values``) that also take float64 arrays; :mod:`gwflow.checks`
-evaluates a whole grid through them.  Each ``rhs_*`` is its guard plus one
-kernel call: the guards reject inadmissible states with
-:class:`InadmissibleStateError`, and raise :class:`RangeExceededError`
-wherever the kernel could leave the float range, so that no state inside a
-guard gives an infinity or ``nan``; long runs deliberately drive ``phi`` to
-infinity and integration must stop cleanly.  What each guard bounds:
+The formulas of :func:`rhs_full` and :func:`rhs_reduced_x` live in
+unguarded kernels (``_full_values``, ``_reduced_values``), and each of these
+``rhs_*`` is its guard plus one kernel call.  The phase formula is written
+once, as source lines (``_PHASE_FORMULA``), and compiled into two forms by
+``_phase_source``: the unguarded kernel ``_phase_values`` and, per ``n``, the
+guarded fields :func:`field_phase` and :func:`field_reparam`.  Each field is
+one generated function, cached per ``n``, that unpacks the state, runs the
+guard, evaluates the formula and (for reparam) divides by ``phi'`` in its own
+frame, with the constants of ``_pn(n)`` bound by name; :func:`rhs_phase` and
+:func:`rhs_reparam` call it.  ``print(inspect.getsource(field_phase(2)))``
+shows its source, which tracebacks show too.  The three kernels also take
+float64 arrays; :mod:`gwflow.checks` evaluates a whole grid through them.
+
+The guards reject inadmissible states with :class:`InadmissibleStateError`,
+and raise :class:`RangeExceededError` wherever the formula could leave the
+float range, so that no state inside a guard gives an infinity or ``nan``;
+long runs deliberately drive ``phi`` to infinity and integration must stop
+cleanly.  What each guard bounds:
 
 * :func:`rhs_full` keeps every ``x_i`` in ``[1e-76, 1e76]``, which bounds
   every term on the spaces ``P_n`` (the derivation is at ``_X_LIMIT``).
@@ -54,6 +63,7 @@ answer for those too.
 
 from __future__ import annotations
 
+import linecache
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -210,43 +220,104 @@ def _reduced_values(n: int, x1, x2):
     return dx1, dx2
 
 
+# The formula of rhs_phase, written once and compiled by _phase_source into
+# the array kernel _phase_values and the guarded fields; the names are those
+# of a _pn record.  The first line is p2, which the fields' range guard reads.
+_PHASE_FORMULA = (
+    "p2 = phi * phi - psi * psi",
+    "low = p2 ** (n - 2) / pow4q",
+    "high = q2 * p2 ** n",
+    "dphi = (-2.0 + low * (3 * phi ** 3 - k6 * phi * psi * psi)",
+    "        + c4 * phi / high + r * (4 * phi * phi / p2))",
+    "bracket = low * (k4 * phi * phi - k2 * psi * psi) + c4 / high + r * (4 * phi / p2)",
+)
+
+
+def _phase_source() -> str:
+    """Python source of ``_phase_values(c, phi, psi)``, the unguarded kernel,
+    and of the factories ``field_phase`` and ``field_reparam``, which take the
+    fields of a ``_pn`` record and return the guarded field for that ``n``:
+    unpacking, guard, formula and (for reparam) the time change in one frame."""
+    p2, *formula = _PHASE_FORMULA
+    record = ", ".join(_Pn._fields)
+    body = [
+        "phi, psi = y if type(y) is tuple else _floats(y)",
+        "if not phi > abs(psi):",
+        '    raise InadmissibleStateError(f"inadmissible phase point (phi={phi}, psi={psi})")',
+        p2,
+        "if phi * phi > hi or p2 < lo:",
+        "    raise RangeExceededError(",
+        '        f"(phi^2 - psi^2)^{n} outside representable range at phi={phi}, psi={psi}"',
+        "    )",
+        *formula,
+    ]
+    reparam = [
+        "if not dphi > 0:",
+        "    raise ReparamInvalidError(",
+        "        f\"phi' = {dphi} <= 0 at (phi={phi}, psi={psi}); reparametrization undefined\"",
+        "    )",
+        "return 1.0, psi * bracket / dphi",
+    ]
+
+    def indent(lines, depth: int) -> list[str]:
+        return [" " * depth + line for line in lines]
+
+    lines = [
+        "def _phase_values(c, phi, psi):",
+        "    # the formula of rhs_phase, unguarded, with c = _pn(n); phi, psi may be float64 arrays",
+        f"    {record} = c",
+        *indent(_PHASE_FORMULA, 4),
+        "    return dphi, psi * bracket",
+        "",
+        f"def field_phase({record}):",
+        "    def field_phase(t, y):",
+        *indent(body, 8),
+        "        return dphi, psi * bracket",
+        "    return field_phase",
+        "",
+        f"def field_reparam({record}):",
+        "    def field_reparam(t, y):",
+        *indent(body + reparam, 8),
+        "    return field_reparam",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _compile_phase() -> dict:
+    # the namespace of _phase_source, its source registered with linecache
+    # (as integrate._dopri_kernel's is) for tracebacks and inspect.getsource
+    source = _phase_source()
+    filename = "<gwflow.flows phase formula>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {
+        "__name__": __name__,
+        "_floats": _floats,
+        "InadmissibleStateError": InadmissibleStateError,
+        "RangeExceededError": RangeExceededError,
+        "ReparamInvalidError": ReparamInvalidError,
+    }
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
+_PHASE = _compile_phase()
+_phase_values = _PHASE["_phase_values"]
+
+
 def rhs_phase(n: int, phi: float, psi: float) -> tuple[float, float]:
     """The slice system in ``(phi, psi)`` coordinates.
 
     ``dphi`` is even in ``psi``; ``dpsi`` carries an overall factor ``psi``,
     so the axis ``psi = 0`` is invariant and the sign of ``psi`` is preserved.
     """
-    return _phase(_pn(n), phi, psi)
-
-
-def _phase(c: _Pn, phi: float, psi: float) -> tuple[float, float]:
-    # rhs_phase for the constants c of one n: its guard, then its kernel
-    if not phi > abs(psi):
-        raise InadmissibleStateError(f"inadmissible phase point (phi={phi}, psi={psi})")
-    if phi * phi > c.hi or phi * phi - psi * psi < c.lo:
-        raise RangeExceededError(
-            f"(phi^2 - psi^2)^{c.n} outside representable range at phi={phi}, psi={psi}"
-        )
-    return _phase_values(c, phi, psi)
-
-
-def _phase_values(c: _Pn, phi, psi):
-    # the formula of rhs_phase, unguarded, with c = _pn(n); phi, psi may be float64 arrays
-    n, _, _, pow4q, c4, q2, r, k6, k4, k2 = c
-    p2 = phi * phi - psi * psi
-    low = p2 ** (n - 2) / pow4q
-    high = q2 * p2 ** n
-    dphi = (-2.0 + low * (3 * phi ** 3 - k6 * phi * psi * psi)
-            + c4 * phi / high + r * (4 * phi * phi / p2))
-    bracket = low * (k4 * phi * phi - k2 * psi * psi) + c4 / high + r * (4 * phi / p2)
-    return dphi, psi * bracket
+    return field_phase(n)(0.0, (phi, psi))
 
 
 def rhs_submersion(n: int, phi: float) -> float:
     """Axis restriction: the scalar speed of ``phi`` on the locus ``psi = 0``."""
     c = _pn(n)
     if not (phi > 0 and c.lo <= phi * phi <= c.hi):
-        _phase(c, phi, 0.0)  # the guard of rhs_phase at psi = 0 refuses such a phi
+        rhs_phase(n, phi, 0.0)  # the guard of rhs_phase at psi = 0 refuses such a phi
     u = phi ** (2 * n - 1)
     return (
         -2.0 + 3 * u / (4.0 ** (n - 1) * (n + 2)) + c.c4 / (2 * (n + 2) * u)
@@ -259,16 +330,7 @@ def rhs_reparam(n: int, phi: float, psi: float) -> tuple[float, float]:
     Only defined where the original ``phi`` speed is positive; elsewhere the
     time change does not exist and :class:`ReparamInvalidError` is raised.
     """
-    return _reparam(_pn(n), phi, psi)
-
-
-def _reparam(c: _Pn, phi: float, psi: float) -> tuple[float, float]:
-    dphi, dpsi = _phase(c, phi, psi)
-    if not dphi > 0:
-        raise ReparamInvalidError(
-            f"phi' = {dphi} <= 0 at (phi={phi}, psi={psi}); reparametrization undefined"
-        )
-    return 1.0, dpsi / dphi
+    return field_reparam(n)(0.0, (phi, psi))
 
 
 def submersion_fixed_points(n: int) -> tuple[float, float]:
@@ -309,26 +371,18 @@ def field_reduced(n: int) -> Field:
     return f
 
 
+@lru_cache(maxsize=None, typed=True)
 def field_phase(n: int) -> Field:
-    """Vector field for :func:`rhs_phase` (state ``[phi, psi]``), returning its tuple."""
-    c = _pn(n)
-
-    def f(t: float, y: Sequence[float] | np.ndarray) -> tuple[float, float]:
-        phi, psi = y if type(y) is tuple else _floats(y)
-        return _phase(c, phi, psi)
-
-    return f
+    """Vector field for :func:`rhs_phase` (state ``[phi, psi]``), returning its
+    tuple; one generated function per ``n`` (``_phase_source``)."""
+    return _PHASE["field_phase"](*_pn(n))
 
 
+@lru_cache(maxsize=None, typed=True)
 def field_reparam(n: int) -> Field:
-    """Vector field for :func:`rhs_reparam` (state ``[phi, psi]``), returning its tuple."""
-    c = _pn(n)
-
-    def f(t: float, y: Sequence[float] | np.ndarray) -> tuple[float, float]:
-        phi, psi = y if type(y) is tuple else _floats(y)
-        return _reparam(c, phi, psi)
-
-    return f
+    """Vector field for :func:`rhs_reparam` (state ``[phi, psi]``), returning its
+    tuple; one generated function per ``n`` (``_phase_source``)."""
+    return _PHASE["field_reparam"](*_pn(n))
 
 
 def field_submersion(n: int) -> Field:

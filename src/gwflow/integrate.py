@@ -327,7 +327,7 @@ def locate_sign_change(
         g_lo = f(t_lo, interpolant(t_lo))
     if g_hi is None:
         g_hi = f(t_hi, interpolant(t_hi))
-    if not (g_lo * g_hi < 0.0):
+    if not (g_lo < 0.0 < g_hi or g_hi < 0.0 < g_lo):
         raise NoBracketError(
             f"no sign change on [{t_lo}, {t_hi}] (f values {g_lo}, {g_hi})"
         )
@@ -417,17 +417,18 @@ def integrate(
         diag_rows.append(dict(diagnostics(t, y)))
     mon_prev = [m.fn(t, y) for m in monitors]
 
-    h = min(config.initial_step, config.max_step, config.t_max)
+    max_step, max_steps = config.max_step, config.max_steps
+    h = min(config.initial_step, max_step, t_end)
     err_old = 1e-4
     termination = Termination.REACHED_TMAX
     nonfinite_failure = False
     steps = 0
 
     while t < t_end:
-        if steps >= config.max_steps:
+        if steps >= max_steps:
             termination = Termination.MAX_STEPS
             break
-        h = min(h, config.max_step)
+        h = min(h, max_step)
         final = t + h >= t_end
         if final:
             h = t_end - t
@@ -469,9 +470,8 @@ def integrate(
         try:
             mon_now = [m.fn(t_new, y_new) for m in monitors]
             interp = None
-            for i, m in enumerate(monitors):
-                g0, g1 = mon_prev[i], mon_now[i]
-                if g0 * g1 < 0.0:
+            for m, g0, g1 in zip(monitors, mon_prev, mon_now):
+                if g0 < 0.0 < g1 or g1 < 0.0 < g0:
                     if interp is None:
                         interp = _substep_evaluator(rhs, t, y, f_now, t_new, y_new)
                     t_star = locate_sign_change(m.fn, t, t_new, interp, EVENT_TOL, g0, g1)
@@ -480,7 +480,8 @@ def integrate(
                     step_events.append(ev)
                     if m.stop and (stop_ev is None or t_star < stop_ev.t):
                         stop_ev, stop_y = ev, y_star
-            step_events.sort(key=lambda ev: ev.t)
+            if step_events:
+                step_events.sort(key=lambda ev: ev.t)
 
             if stop_ev is not None:
                 if diagnostics is not None:

@@ -23,8 +23,7 @@ import math
 
 import numpy as np
 
-from .flows import (InadmissibleStateError, RangeExceededError, _phase, _phase_values, _pn,
-                    field_phase)
+from .flows import InadmissibleStateError, RangeExceededError, _phase_values, _pn, field_phase
 from .integrate import IntegratorConfig, Monitor, integrate
 
 __all__ = ["render_portrait"]
@@ -137,7 +136,7 @@ def render_portrait(
     # a window past the guard overflows phi * phi, and a huge field the
     # pixel vector: such points are masked or skipped, never drawn
     with np.errstate(all="ignore"):
-        # off the cone's edge, and inside _phase's range guard
+        # off the cone's edge, and inside rhs_phase's range guard
         keep = ((phi - np.abs(psi) > 1e-9)
                 & (phi * phi <= c.hi) & (phi * phi - psi * psi >= c.lo))
         phi, psi = phi[keep], psi[keep]
@@ -201,8 +200,9 @@ def _trajectory_points(c, phi0, psi0, t_max, phi_min, phi_max, psi_min, psi_max)
 
     if depth(0.0, (phi0, psi0)) < 0.0:
         return []  # one point draws no polyline
+    field = field_phase(c.n)
     try:
-        dphi, dpsi = _phase(c, phi0, psi0)
+        dphi, dpsi = field(0.0, (phi0, psi0))
     except (InadmissibleStateError, RangeExceededError):
         return []  # outside the cone, or integrate's first evaluation would raise
     # on an edge the monitor starts at 0 and never sees a strict sign
@@ -216,7 +216,7 @@ def _trajectory_points(c, phi0, psi0, t_max, phi_min, phi_max, psi_min, psi_max)
     if any(dist == 0.0 and inward <= 0.0 for dist, inward in edges):
         return []
     cfg = IntegratorConfig(t_max=t_max, rel_tol=1e-8, abs_tol=1e-10, max_steps=20_000)
-    traj = integrate(field_phase(c.n), [phi0, psi0], cfg, [Monitor("window", depth, stop=True)])
+    traj = integrate(field, [phi0, psi0], cfg, [Monitor("window", depth, stop=True)])
     points = []
     for phi, psi in traj.y:
         points.append((float(phi), float(psi)))

@@ -1,5 +1,8 @@
+import inspect
 import itertools
 import math
+import random
+import traceback
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from gwflow import (
     PhasePoint,
     RangeExceededError,
     ReparamInvalidError,
+    field_phase,
     field_reparam,
     from_phase,
     integrate,
@@ -442,3 +446,131 @@ class TestVectorFields:
         assert runs[1].termination is runs[0].termination
         assert runs[1].t.tobytes() == runs[0].t.tobytes()
         assert runs[1].y.tobytes() == runs[0].y.tobytes()
+
+
+# The hand-written phase code that the generated fields and kernel replaced,
+# kept as their reference: each generated form must give these bits and
+# raise these exceptions, type and message alike.
+def reference_phase_values(c, phi, psi):
+    n, _, _, pow4q, c4, q2, r, k6, k4, k2 = c
+    p2 = phi * phi - psi * psi
+    low = p2 ** (n - 2) / pow4q
+    high = q2 * p2 ** n
+    dphi = (-2.0 + low * (3 * phi ** 3 - k6 * phi * psi * psi)
+            + c4 * phi / high + r * (4 * phi * phi / p2))
+    bracket = low * (k4 * phi * phi - k2 * psi * psi) + c4 / high + r * (4 * phi / p2)
+    return dphi, psi * bracket
+
+
+def reference_phase(c, phi, psi):
+    if not phi > abs(psi):
+        raise InadmissibleStateError(f"inadmissible phase point (phi={phi}, psi={psi})")
+    if phi * phi > c.hi or phi * phi - psi * psi < c.lo:
+        raise RangeExceededError(
+            f"(phi^2 - psi^2)^{c.n} outside representable range at phi={phi}, psi={psi}"
+        )
+    return reference_phase_values(c, phi, psi)
+
+
+def reference_reparam(c, phi, psi):
+    dphi, dpsi = reference_phase(c, phi, psi)
+    if not dphi > 0:
+        raise ReparamInvalidError(
+            f"phi' = {dphi} <= 0 at (phi={phi}, psi={psi}); reparametrization undefined"
+        )
+    return 1.0, dpsi / dphi
+
+
+def _outcome(call):
+    """The bits of what ``call`` returns, or the type and message of what it raises."""
+    try:
+        values = call()
+    except Exception as exc:  # noqa: BLE001 - every exception is part of the outcome
+        return type(exc), str(exc)
+    assert type(values) is tuple and all(type(v) is float for v in values)
+    return bits(values)
+
+
+GENERATED_N = [*range(2, 9), 41, 300, 465, 466, 503]
+
+
+def _phase_points(n):
+    """Seeded phase points around and beyond the guard at ``n``: inside the
+    cone and outside it, past either range bound, on the axis between the two
+    axis fixed points (where ``phi' < 0``), and nan."""
+    c = flows._pn(n)
+    rng = random.Random(f"generated-phase/{n}")
+    lo, hi = math.log(math.sqrt(c.lo) / 2), math.log(2 * math.sqrt(c.hi))
+    points = [(math.exp(rng.uniform(lo, hi)), rng.uniform(-1.2, 1.2)) for _ in range(60)]
+    points = [(phi, u * phi) for phi, u in points]
+    fp_lo, fp_hi = submersion_fixed_points(n)
+    points += [(1.0, 2.0), (2.0, -2.0), (0.5 * (fp_lo + fp_hi), 0.0), (fp_hi, 0.0),
+               (math.nan, 0.0), (2.0, math.nan), *_guard_edge_points(n)[:8]]
+    return points
+
+
+class TestGeneratedPhaseFields:
+    @pytest.mark.parametrize("n", GENERATED_N)
+    def test_fields_and_rhs_match_the_reference(self, n):
+        c = flows._pn(n)
+        kinds = set()
+        for phi, psi in _phase_points(n):
+            for generated, reference in (
+                (field_phase(n), reference_phase), (field_reparam(n), reference_reparam)
+            ):
+                want = _outcome(lambda: reference(c, phi, psi))
+                kinds.add(want[0] if type(want) is tuple else float)
+                # the integrator's tuple, a list and an ndarray (through _floats)
+                assert _outcome(lambda: generated(0.0, (phi, psi))) == want, (phi, psi)
+                for y in ([phi, psi], np.array([phi, psi])):
+                    floats = flows._floats(y)
+                    assert _outcome(lambda: generated(0.0, y)) == _outcome(
+                        lambda: reference(c, *floats)), (phi, psi)
+            assert _outcome(lambda: rhs_phase(n, phi, psi)) == _outcome(
+                lambda: reference_phase(c, phi, psi))
+            assert _outcome(lambda: rhs_reparam(n, phi, psi)) == _outcome(
+                lambda: reference_reparam(c, phi, psi))
+        assert {float, InadmissibleStateError, RangeExceededError} <= kinds
+        # from n = 466 the guard refuses the lower axis fixed point, and with
+        # it every axis state where phi' < 0
+        assert (ReparamInvalidError in kinds) == (n < 466)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 41, 300])
+    def test_kernel_matches_the_reference_on_arrays(self, n):
+        c = flows._pn(n)
+        phi, psi = np.array(_phase_points(n)).T
+        with np.errstate(all="ignore"):  # the points beyond the guard overflow
+            assert bits(flows._phase_values(c, phi, psi)) == bits(
+                reference_phase_values(c, phi, psi))
+
+    def test_one_cached_function_per_n(self):
+        assert field_phase(3) is field_phase(3) and field_reparam(3) is field_reparam(3)
+        assert field_phase(3) is not field_phase(4)
+
+    def test_source_shows_the_guard_and_the_formula(self):
+        source = inspect.getsource(field_reparam(3))
+        for line in (
+            "if not phi > abs(psi):",
+            "if phi * phi > hi or p2 < lo:",
+            *(line.strip() for line in flows._PHASE_FORMULA),
+            "return 1.0, psi * bracket / dphi",
+        ):
+            assert line in source
+        assert "def _phase_values(c, phi, psi):" in inspect.getsource(flows._phase_values)
+
+    def test_traceback_names_the_generated_source(self):
+        with pytest.raises(InadmissibleStateError) as info:
+            field_phase(2)(0.0, (1.0, 2.0))
+        frame = traceback.extract_tb(info.value.__traceback__)[-1]
+        assert frame.filename == field_phase(2).__code__.co_filename
+        assert frame.filename.startswith("<gwflow.flows")
+        assert frame.name == "field_phase"
+        assert "raise InadmissibleStateError" in frame.line
+
+    @pytest.mark.parametrize("name", ["phase", "reparam"])
+    def test_qualname_names_the_system(self, name):
+        # the benchmark's tracer labels an rhs by the field_<system> its
+        # __qualname__ starts with
+        qual = SYSTEMS[name].field(3).__qualname__
+        assert qual.startswith(f"field_{name}")
+        assert qual.split(".")[0].removeprefix("field_") == name

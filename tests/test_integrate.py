@@ -160,6 +160,15 @@ class TestEvents:
         assert names == ["early", "mid", "late"]
         assert times == sorted(times)
 
+    def test_sign_change_whose_product_underflows_is_located(self):
+        # the product of the two values underflows to -0.0 below about 1e-162
+        mons = [Monitor("tiny", lambda t, y: y[0] * 1e-200), Monitor("unit", lambda t, y: y[0])]
+        traj = integrate(lambda t, y: (1.0,), (-1.0,), IntegratorConfig(t_max=2.0), mons)
+        assert [ev.name for ev in traj.events] in (["tiny", "unit"], ["unit", "tiny"])
+        tiny, unit = traj.first_event("tiny"), traj.first_event("unit")
+        assert abs(tiny.t - unit.t) <= EVENT_TOL
+        assert abs(unit.t - 1.0) <= EVENT_TOL
+
     def test_threshold_monitor_records_level(self):
         # a crossing of a level is the sign change of the functional minus it
         mon = Monitor("level", lambda t, y: y[0] - 5.0)
@@ -217,6 +226,10 @@ class TestLocateSignChange:
         interp = lambda t: np.array([t])
         with pytest.raises(NoBracketError):
             locate_sign_change(lambda tt, yy: yy[0] + 5.0, 0.0, 2.0, interp, 1e-10)
+
+    def test_bracket_whose_product_underflows(self):
+        t = locate_sign_change(lambda t, y: (t - 0.5) * 1e-200, 0.0, 1.0, lambda t: (t,))
+        assert abs(t - 0.5) <= EVENT_TOL
 
     def test_tightening_tolerance_refines(self):
         interp = lambda t: np.array([np.cos(t)])

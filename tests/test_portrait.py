@@ -147,7 +147,7 @@ def test_a_huge_finite_field_still_gets_its_arrow():
 
 def reference_render(n, phi_range, psi_range, grid=(15, 9), starts=(), traj_t_max=20.0):
     """``render_portrait`` as a per-point loop: each grid point through the
-    guarded ``flows._phase`` and ``math``, each number through its own
+    guarded ``rhs_phase`` and ``math``, each number through its own
     ``f"{v:.2f}"``.  The window and grid are taken as valid."""
 
     def fmt(v):
@@ -195,7 +195,7 @@ def reference_render(n, phi_range, psi_range, grid=(15, 9), starts=(), traj_t_ma
             if phi - abs(psi) <= 1e-9:
                 continue
             try:
-                dphi, dpsi = flows._phase(c, phi, psi)
+                dphi, dpsi = rhs_phase(n, phi, psi)
             except (RangeExceededError, ValueError):
                 continue
             cx, cy = to_px(phi, psi)
@@ -242,8 +242,7 @@ def reference_render(n, phi_range, psi_range, grid=(15, 9), starts=(), traj_t_ma
 
 
 def _guard_verdicts(n, phi_range, psi_range, grid):
-    """How many off-edge grid points ``_phase``'s range guard refuses and keeps."""
-    c = flows._pn(n)
+    """How many off-edge grid points ``rhs_phase``'s range guard refuses and keeps."""
     (phi_min, phi_max), (psi_min, psi_max), (nx, ny) = phi_range, psi_range, grid
     refused = kept = 0
     for j in range(ny):
@@ -252,7 +251,7 @@ def _guard_verdicts(n, phi_range, psi_range, grid):
             phi = phi_min + i * (phi_max - phi_min) / (nx - 1)
             if phi - abs(psi) > 1e-9:
                 try:
-                    flows._phase(c, phi, psi)
+                    rhs_phase(n, phi, psi)
                     kept += 1
                 except RangeExceededError:
                     refused += 1
