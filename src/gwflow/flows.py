@@ -25,7 +25,10 @@ floats once.  Either way the field gives the same bits.
 
 The formulas of :func:`rhs_full` and :func:`rhs_reduced_x` live in
 unguarded kernels (``_full_values``, ``_reduced_values``), and each of these
-``rhs_*`` is its guard plus one kernel call.  The phase formula is written
+``rhs_*`` is its guard plus one kernel call.  :func:`field_full` runs that
+guard itself and calls ``_full_values`` directly, one frame fewer than
+through :func:`rhs_full`, which it calls only to raise for a refused state.
+The phase formula is written
 once, as source lines (``_PHASE_FORMULA``), and compiled into two forms by
 ``_phase_source``: the unguarded kernel ``_phase_values`` and, per ``n``, the
 guarded fields :func:`field_phase` and :func:`field_reparam`.  Each field is
@@ -351,11 +354,19 @@ def submersion_fixed_points(n: int) -> tuple[float, float]:
 
 
 def field_full(space: GWSpace) -> Field:
-    """Vector field for :func:`rhs_full` (state ``[x1, x2, x3]``), returning its tuple."""
+    """Vector field for :func:`rhs_full` (state ``[x1, x2, x3]``), returning its tuple.
+
+    Runs the guard of :func:`rhs_full` in its own frame and calls
+    ``_full_values`` itself; a state the guard refuses goes to
+    :func:`rhs_full`, which raises with its reason.
+    """
+    lo, hi = 1.0 / _X_LIMIT, _X_LIMIT
 
     def f(t: float, y: Sequence[float] | np.ndarray) -> tuple[float, float, float]:
         x1, x2, x3 = y if type(y) is tuple else _floats(y)
-        return rhs_full(space, x1, x2, x3)
+        if not (lo <= x1 <= hi and lo <= x2 <= hi and lo <= x3 <= hi):
+            return rhs_full(space, x1, x2, x3)
+        return _full_values(space, x1, x2, x3)
 
     return f
 

@@ -208,12 +208,9 @@ def ricci_coefficients(space: GWSpace, metric: Metric) -> RicciSpectrum:
     return RicciSpectrum(r1, r2, r3, *space.dims)
 
 
-def _log_volume(space: GWSpace, metric: Metric) -> float:
-    return (
-        math.log(metric.x1) / space.a1
-        + math.log(metric.x2) / space.a2
-        + math.log(metric.x3) / space.a3
-    )
+def _log_volume(space: GWSpace, x1, x2, x3, log=math.log):
+    # the log of the volume functional; x1, x2, x3 may be float64 arrays, with log=np.log
+    return log(x1) / space.a1 + log(x2) / space.a2 + log(x3) / space.a3
 
 
 def volume(space: GWSpace, metric: Metric) -> float:
@@ -223,7 +220,7 @@ def volume(space: GWSpace, metric: Metric) -> float:
     on ``P_n``; a volume beyond the float range is ``inf``.
     """
     try:
-        return math.exp(_log_volume(space, metric))
+        return math.exp(_log_volume(space, metric.x1, metric.x2, metric.x3))
     except OverflowError:
         return math.inf
 
@@ -231,7 +228,7 @@ def volume(space: GWSpace, metric: Metric) -> float:
 def normalize_to_unit_volume(space: GWSpace, metric: Metric) -> Metric:
     """Rescale ``metric`` to volume one."""
     exponent_sum = 1.0 / space.a1 + 1.0 / space.a2 + 1.0 / space.a3
-    c = math.exp(-_log_volume(space, metric) / exponent_sum)
+    c = math.exp(-_log_volume(space, metric.x1, metric.x2, metric.x3) / exponent_sum)
     return Metric(c * metric.x1, c * metric.x2, c * metric.x3)
 
 
@@ -253,7 +250,12 @@ def to_phase(n: int, x1: float, x2: float) -> PhasePoint:
     """Sum/difference coordinates of ``(x1, x2)`` on the unit-volume slice."""
     if not (x1 > 0 and x2 > 0):
         raise ValueError(f"x1, x2 must be positive, got ({x1}, {x2})")
-    return PhasePoint(x1 + x2, x1 - x2, n)
+    return PhasePoint(*_to_phase_values(x1, x2), n)
+
+
+def _to_phase_values(x1, x2):
+    # the formula of to_phase, (x1, x2) -> (phi, psi), unguarded; x1, x2 may be float64 arrays
+    return x1 + x2, x1 - x2
 
 
 def from_phase(p: PhasePoint) -> tuple[float, float, float]:

@@ -17,6 +17,7 @@ from gwflow import (
     PhasePoint,
     RangeExceededError,
     ReparamInvalidError,
+    field_full,
     field_phase,
     field_reparam,
     from_phase,
@@ -116,6 +117,37 @@ class TestFullSystem:
         for xs in ((math.nextafter(big, math.inf), 1.0, 1.0), (1.0, 1.0, 0.99 / big)):
             with pytest.raises(RangeExceededError):
                 rhs_full(space, *xs)
+
+
+class TestFullField:
+    # field_full runs rhs_full's guard in its own frame and calls the kernel
+    # itself; a state the guard refuses goes through rhs_full
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 41, 503])
+    def test_matches_rhs_full_bit_for_bit(self, n):
+        rng = random.Random(n)
+        space = make_pn(n)
+        f = field_full(space)
+        for span in (3, 76):  # moderate scales, and across the whole guard box
+            for _ in range(200):
+                y = tuple(10.0 ** rng.uniform(-span, span) for _ in range(3))
+                assert f(0.0, y) == rhs_full(space, *y), y
+
+    def test_refuses_as_rhs_full_refuses(self):
+        big = flows._X_LIMIT
+        space = make_pn(3)
+        f = field_full(space)
+        bad = (0.0, -1.0, math.nan, math.nextafter(big, math.inf), math.nextafter(1.0 / big, 0.0))
+        # every placement of one or more bad values, so the first refused
+        # component names the reason in both
+        for y in itertools.product((1.0, *bad), repeat=3):
+            if y == (1.0, 1.0, 1.0):
+                continue
+            refusal = _refusal(lambda: f(0.0, y))
+            assert refusal is not None and refusal == _refusal(lambda: rhs_full(space, *y)), y
+        # the bounds themselves are inside the guard
+        for y in itertools.product((1.0 / big, 1.0, big), repeat=3):
+            assert f(0.0, y) == rhs_full(space, *y), y
 
 
 class TestReducedSystem:
