@@ -12,8 +12,19 @@ flags, the config-file keys, their types and defaults, and the required
 options all come from it.  An option's value is its flag's, else the
 ``--config`` file's entry, else the default.
 
+A command line that starts with a command name is parsed by that command's
+own subparser alone, taken from the one cached parser; any other (no
+arguments, ``--help``, an unknown command, a flag before the command) goes
+to the top-level parser, the only source of the top-level help and of the
+errors about the command.  Either route gives the same namespace, output and
+errors; the direct one skips the top-level parser's scan of every token.
+
 A ``flow`` CSV row gives each float to 17 significant digits, so that it
-reads back as the same float, and ``neg_count`` as an integer.
+reads back as the same float, and ``neg_count`` as an integer.  Each row is
+built from the unguarded scalar kernels of :mod:`gwflow.spaces` (the chart,
+the Ricci values, the log volume), with no ``Metric`` or ``RicciSpectrum``
+per row: every row is a state the system's guard accepted, whose scale
+factors are positive and finite (``notes/decisions.md``).
 
 Exit codes: 0 success, 1 bad arguments (or an experiment whose final
 negative-eigenvalue count differs from ``d1 = 4(n-1)``, the multiplicity of
@@ -28,6 +39,7 @@ import dataclasses
 import functools
 import inspect
 import json
+import math
 import string
 import sys
 from typing import Iterable
@@ -38,15 +50,13 @@ from .flows import RangeExceededError, SYSTEMS
 from .integrate import IntegratorConfig, Termination, Trajectory, integrate
 from .portrait import render_portrait
 from .spaces import (
-    Metric,
-    RicciSpectrum,
     _chart_values,
+    _log_volume,
     _phase_ricci_values,
+    _ricci_values,
+    _to_phase_values,
     _x3_values,
     make_pn,
-    negative_count,
-    ricci_coefficients,
-    volume,
 )
 
 CSV_HEADER = "t,x1,x2,x3,phi,psi,r1,r2,r3,S,V,neg_count"
@@ -84,6 +94,8 @@ def _options(cls) -> dict:
     }
 
 
+_INTEGRATOR_OPTIONS = _options(IntegratorConfig)
+
 # {command: {option: (type, default[, argparse keywords])}}, the only
 # declaration of each option: one flag each (a ``list`` option repeats), and
 # the config-file keys, their types and their defaults
@@ -93,7 +105,7 @@ _COMMANDS = {
         "system": (str, _REQUIRED, {"choices": list(SYSTEMS)}),
         **dict.fromkeys(_STATE, (float, None)),
         # the integrator's settings
-        **_options(IntegratorConfig),
+        **_INTEGRATOR_OPTIONS,
         "t_max": (float, 10.0),
     },
     "experiment": _options(ExperimentConfig),
@@ -148,6 +160,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", default=None, help="JSON file with defaults for these flags")
         if writes:
             p.add_argument("--output", "-o", default=None, help=f"{writes} path (default: stdout)")
+    parser.commands = sub.choices  # {command: its subparser}, for main's direct route
     return parser
 
 
@@ -221,23 +234,29 @@ _CSV_ROW = ",".join(["%.17g"] * 11) + ",%d"
 
 def _csv_lines(system: str, n: int, traj: Trajectory) -> Iterable[str]:
     space = make_pn(n)
-    cols = traj.y.T.tolist()
+    d1, d2, d3 = space.dims
+    cols = traj.y.T
     if SYSTEMS[system].state[0] == "x1":  # scale factors; x3 completes the slice
-        if len(cols) == 2:
-            cols.append([_x3_values(n, x1, x2) for x1, x2 in zip(*cols)])
-        rows = [(Metric(*xs), xs[0] + xs[1], xs[0] - xs[1]) for xs in zip(*cols)]
-        spectra = (ricci_coefficients(space, m) for m, _, _ in rows)
+        x1s, x2s = cols[0].tolist(), cols[1].tolist()
+        x3s = (cols[2].tolist() if len(cols) == 3
+               else [_x3_values(n, x1, x2) for x1, x2 in zip(x1s, x2s)])
+        # float64 + and - round as Python's do: the same bits as a per-row call
+        phis, psis = (c.tolist() for c in _to_phase_values(cols[0], cols[1]))
+        rows = ((x1, x2, x3, phi, psi, *_ricci_values(space, x1, x2, x3))
+                for x1, x2, x3, phi, psi in zip(x1s, x2s, x3s, phis, psis))
     else:  # phase coordinates; the submersion runs on the axis psi = 0
-        if len(cols) == 1:
-            cols.append([0.0] * len(traj))
-        rows = [(Metric(*_chart_values(n, phi, psi)), phi, psi) for phi, psi in zip(*cols)]
-        spectra = (
-            RicciSpectrum(*_phase_ricci_values(n, phi, psi), *space.dims) for _, phi, psi in rows
-        )
+        phis = cols[0].tolist()
+        psis = cols[1].tolist() if len(cols) == 2 else [0.0] * len(phis)
+        rows = ((*_chart_values(n, phi, psi), phi, psi, *_phase_ricci_values(n, phi, psi))
+                for phi, psi in zip(phis, psis))
     yield CSV_HEADER
-    for t, (m, phi, psi), spec in zip(traj.t.tolist(), rows, spectra):
-        yield _CSV_ROW % (t, *m.xs, phi, psi, *spec.values, spec.scalar, volume(space, m),
-                          negative_count(spec))
+    for t, (x1, x2, x3, phi, psi, r1, r2, r3) in zip(traj.t.tolist(), rows):
+        try:  # spaces.volume's rule: a volume beyond the float range is inf
+            vol = math.exp(_log_volume(space, x1, x2, x3))
+        except OverflowError:
+            vol = math.inf
+        yield _CSV_ROW % (t, x1, x2, x3, phi, psi, r1, r2, r3, d1 * r1 + d2 * r2 + d3 * r3, vol,
+                          (r1 < 0.0) * d1 + (r2 < 0.0) * d2 + (r3 < 0.0) * d3)
 
 
 def cmd_flow(opts: dict, output: str | None) -> int:
@@ -253,7 +272,7 @@ def cmd_flow(opts: dict, output: str | None) -> int:
         raise _UsageError(f"system {system!r} does not take {', '.join(foreign)}")
 
     try:
-        config = IntegratorConfig(**{k: opts[k] for k in _options(IntegratorConfig) if k in opts})
+        config = IntegratorConfig(**{k: opts[k] for k in _INTEGRATOR_OPTIONS})
         field = SYSTEMS[system].field(n)
     except ValueError as exc:
         raise _UsageError(str(exc))
@@ -362,7 +381,12 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     argv = _merge_negative_values(list(argv))
     try:
-        args = parser.parse_args(argv)
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:  # the top-level parser's help, or its error
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:])
+            args.command = argv[0]
         opts = _merge_config(args, _COMMANDS[args.command])
         # looked up per call, so a replaced module attribute cmd_* is the one run
         return globals()[f"cmd_{args.command}"](opts, getattr(args, "output", None))

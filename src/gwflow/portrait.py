@@ -161,7 +161,8 @@ def render_portrait(
         arrows = np.column_stack((x0, y0, x1, y1, x1, y1,
                                   x1 + bx + px, y1 + by + py, x1 + bx - px, y1 + by - py))
     parts.append('<g id="vectors">')
-    parts.extend(_ARROW % tuple(row) for row in arrows.tolist())
+    if len(arrows):  # all arrows in one %; an empty group has no line between its tags
+        parts.append("\n".join([_ARROW] * len(arrows)) % tuple(arrows.ravel().tolist()))
     parts.append("</g>")
     if markers:
         parts.append('<g id="fixed-points">')

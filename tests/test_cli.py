@@ -1,7 +1,7 @@
-import argparse
 import dataclasses
 import inspect
 import json
+import math
 import subprocess
 import sys
 import xml.dom.minidom
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gwflow import checks, cli
+from gwflow import checks, cli, flows
 from gwflow.checks import CheckResult, run_invariant_checks
 from gwflow.experiment import ExperimentConfig
 from gwflow.flows import SYSTEMS, submersion_fixed_points
@@ -238,6 +238,34 @@ def test_csv_rows_of_a_capped_run_match_the_per_cell_writer():
     assert list(cli._csv_lines("phase", 3, traj)) == list(reference_csv_lines("phase", 3, traj))
 
 
+def _last_kept(keep, a, b):
+    """The largest float in ``[a, b)`` that ``keep`` accepts, given ``keep(a)``
+    and a ``keep`` that turns false once, above ``a``."""
+    while (m := 0.5 * (a + b)) not in (a, b):
+        a, b = (m, b) if keep(m) else (a, m)
+    return a
+
+
+def test_guarded_states_have_positive_finite_scale_factors():
+    # The flow CSV builds no Metric per row, whose check refused a scale
+    # factor that is not positive and finite.  Every row is a state the guard
+    # accepted; x3 = (x1*x2)**-(n-1) is largest where x1*x2 is least, at the
+    # guard's lower bound, and must stay finite there for each n the phase
+    # systems take.  The reduced system keeps x1*x2 >= lo and x_i**2 <= hi.
+    for n in range(2, 504):
+        c = flows._pn(n)
+        phi = _last_kept(lambda p: p * p < c.lo, 0.0, 2 * math.sqrt(c.lo))
+        phi = math.nextafter(phi, math.inf)  # the least phi the guard keeps on the axis
+        top = _last_kept(lambda p: p * p <= c.hi, 0.0, 2 * math.sqrt(c.hi))
+        edge = _last_kept(lambda q: top * top - q * q >= c.lo, 0.0, top)
+        lo, hi = flows._reduced_bounds(n)
+        x = math.nextafter(_last_kept(lambda v: v * v < lo, 0.0, 2 * math.sqrt(lo)), math.inf)
+        states = [_chart_values(n, phi, 0.0), _chart_values(n, top, edge),
+                  _chart_values(n, top, -edge), (x, x, _x3_values(n, x, x))]
+        for xs in states:
+            assert all(0.0 < v < math.inf for v in xs), (n, xs)
+
+
 PHASE_FLOW = ("flow", "--n", "2", "--system", "phase", "--phi", "2", "--psi", "0")
 PORTRAIT = ("portrait", "--n", "2", "--phi-range", "1:3", "--psi-range", "-1:1")
 
@@ -397,8 +425,7 @@ class TestConfigFileValueTypes:
 
 
 def _subparser(command):
-    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices[command]
+    return cli._build_parser().commands[command]
 
 
 def _field_values(cls, **overrides):
@@ -723,6 +750,51 @@ class TestParserReuse:
         monkeypatch.setattr(checks, "run_invariant_checks", recorder)
         assert run_cli(capsys, "check")[0] == 0
         assert seen == [inspect.signature(run_invariant_checks).parameters["n_max"].default]
+
+
+def reference_main(argv):
+    """``cli.main`` as it was before the direct route: every command line
+    through the top-level parser, which hands the command's tokens to its
+    subparser."""
+    argv = cli._merge_negative_values(list(argv))
+    try:
+        args = cli._build_parser().parse_args(argv)
+        opts = cli._merge_config(args, cli._COMMANDS[args.command])
+        return getattr(cli, f"cmd_{args.command}")(opts, getattr(args, "output", None))
+    except cli._UsageError as exc:
+        print(f"gwflow: error: {exc}", file=sys.stderr)
+        return 1
+
+
+_PHASE_RUN = ["--n", "2", "--system", "phase", "--phi", "2", "--t-max", "0.1"]
+_ROUTE_ARGVS = [
+    # help, from the top-level parser and from a subparser
+    [], ["--help"], ["-h"], ["flow", "--help"], ["check", "-h"],
+    # errors about the command, its flags and their values
+    ["bogus"], ["--n", "3", "flow"], ["flow", "--n", "abc"],
+    ["flow", "--n", "2", "--system", "sideways", "--phi", "2", "--psi", "0"],
+    ["check", "--n-max", "3", "extra"], ["flow", "--n"], ["flow"],
+    # abbreviations and --flag=value
+    ["check", "--n-m", "3"], ["check", "--n-max=3"],
+    # a negative value, -o, a repeated flag, and --
+    ["flow", *_PHASE_RUN, "--psi", "-0.5", "-o", "-"],
+    ["portrait", "--n", "2", "--phi-range", "1:3", "--psi-range", "-1:1", "--grid", "3x2",
+     "--start", "2,0.5", "--start", "2.5,-0.5", "--traj-t-max", "0.1"],
+    ["flow", "--", "--n", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _ROUTE_ARGVS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_direct_subparser_route_matches_the_top_level_parser(capsys, argv):
+    def outcome(main):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    assert outcome(cli.main) == outcome(reference_main)
 
 
 class TestCheckCommand:

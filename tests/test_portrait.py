@@ -283,6 +283,17 @@ def test_grid_matches_the_reference_where_the_range_guard_trips_for_some_points(
     assert svg.count("<path ") == kept
 
 
+def test_grid_matches_the_reference_where_the_range_guard_refuses_every_point():
+    # the minimal-deps CI window: at n = 300 no grid point of (0, 1000) x
+    # (-1000, 1000) is inside the guard, so the arrow group is empty
+    window = (300, (0.0, 1000.0), (-1000.0, 1000.0))
+    refused, kept = _guard_verdicts(*window, (15, 9))
+    assert refused > 0 and kept == 0
+    svg = portrait.render_portrait(*window)
+    assert svg == reference_render(*window)
+    assert '<g id="vectors">\n</g>' in svg
+
+
 def test_grid_point_on_the_fixed_point_draws_a_marker():
     # the default 15x9 grid over (0, 4) x (-3, 3) hits (2.0, 0.0), the upper
     # axis fixed point at n = 2, where the field is exactly zero
