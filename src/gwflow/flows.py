@@ -23,21 +23,21 @@ the form :func:`~gwflow.integrate.integrate` hands it, so such a tuple must
 hold Python floats; any other ``y`` (a list, an ndarray) is converted to
 floats once.  Either way the field gives the same bits.
 
-The formulas of :func:`rhs_full` and :func:`rhs_reduced_x` live in
-unguarded kernels (``_full_values``, ``_reduced_values``), and each of these
-``rhs_*`` is its guard plus one kernel call.  :func:`field_full` runs that
-guard itself and calls ``_full_values`` directly, one frame fewer than
-through :func:`rhs_full`, which it calls only to raise for a refused state.
-The phase formula is written
-once, as source lines (``_PHASE_FORMULA``), and compiled into two forms by
-``_phase_source``: the unguarded kernel ``_phase_values`` and, per ``n``, the
-guarded fields :func:`field_phase` and :func:`field_reparam`.  Each field is
-one generated function, cached per ``n``, that unpacks the state, runs the
-guard, evaluates the formula and (for reparam) divides by ``phi'`` in its own
-frame, with the constants of ``_pn(n)`` bound by name; :func:`rhs_phase` and
-:func:`rhs_reparam` call it.  ``print(inspect.getsource(field_phase(2)))``
-shows its source, which tracebacks show too.  The three kernels also take
-float64 arrays; :mod:`gwflow.checks` evaluates a whole grid through them.
+Every formulation follows one rule.  Its field is built once per ``n`` (per
+space, for ``full``) and cached, and it is the only place that holds the
+system's guard: one call unpacks the state, runs the guard and evaluates the
+formula.  Each ``rhs_*`` is a convenience that evaluates its field at one
+point.  The formulas of ``full`` and ``reduced`` live in unguarded kernels
+(``_full_values``, ``_reduced_values``), which their fields call.  The phase
+formula is written once, as source lines (``_P2`` and ``_PHASE_FORMULA``), and
+``_phase_source`` compiles it, with the phase-coordinate guard written once,
+into the unguarded kernel ``_phase_values`` and the generated fields
+:func:`field_phase`, :func:`field_reparam` and :func:`field_submersion`, each
+one frame with the constants of ``_pn(n)`` bound by name.  (The axis speed of
+``submersion`` stays a separate transcription in ``u = phi**(2n-1)``.)
+``print(inspect.getsource(field_phase(2)))`` shows the generated source,
+which tracebacks show too.  The three kernels also take float64 arrays;
+:mod:`gwflow.checks` evaluates a whole grid through them.
 
 The guards reject inadmissible states with :class:`InadmissibleStateError`,
 and raise :class:`RangeExceededError` wherever the formula could leave the
@@ -45,23 +45,20 @@ float range, so that no state inside a guard gives an infinity or ``nan``;
 long runs deliberately drive ``phi`` to infinity and integration must stop
 cleanly.  What each guard bounds:
 
-* :func:`rhs_full` keeps every ``x_i`` in ``[1e-76, 1e76]``, which bounds
-  every term on the spaces ``P_n`` (the derivation is at ``_X_LIMIT``).
-* :func:`rhs_reduced_x` keeps ``x_i**2`` and ``(x1*x2)**n`` in range, and
+* ``full`` keeps every ``x_i`` in ``[1e-76, 1e76]``, which bounds every term
+  on the spaces ``P_n`` (the derivation is at ``_X_LIMIT``).
+* ``reduced`` keeps ``x_i**2`` and ``(x1*x2)**n`` in range, and
   ``x_i / (x1*x2)**n`` below ``2**1000``.
-* :func:`rhs_phase` (and :func:`rhs_reparam`, :func:`rhs_submersion`) keeps
+* ``phase``, ``reparam`` and ``submersion`` (at ``psi = 0``) keep
   ``(phi**2 - psi**2)**n`` and ``phi**(2n)`` in range, and from ``n = 41``
   the term ``4**n n phi / (2q (phi**2 - psi**2)**n)`` finite.
-  :func:`rhs_submersion` refuses through the guard of :func:`rhs_phase` at
-  ``psi = 0``, with the same exception and reason.
 
 Each slice formulation reads its bounds from one record, built, and ``n``
-validated, once per ``n``: ``_reduced_bounds`` for the reduced system and
-``_pn``, which also holds the constants, for the phase systems.  Each
-``field_*`` fetches its record when it is built, so a bad ``n`` is refused
-before a run.  ``_pn`` refuses with :class:`ValueError` an ``n`` whose
-constants overflow a float (``n >= 504``); the reduced and full systems
-answer for those too.
+validated, when its field is built: ``_reduced_bounds`` for the reduced
+system and ``_pn``, which also holds the constants, for the phase systems.
+So a bad ``n`` is refused before a run.  ``_pn`` refuses with
+:class:`ValueError` an ``n`` whose constants overflow a float
+(``n >= 504``); the reduced and full systems answer for those too.
 """
 
 from __future__ import annotations
@@ -138,7 +135,6 @@ def _phase_bounds(n: int) -> tuple[float, float]:
     return RANGE_LIMIT ** (-1.0 / n), RANGE_LIMIT ** (1.0 / n)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: 2.0 is still validated, and refused, once 2 is cached
 def _reduced_bounds(n: int) -> tuple[float, float]:
     lo, hi = _phase_bounds(n)
     # The terms x_i / (x1*x2)**n of rhs_reduced_x must stay finite too.  The
@@ -172,16 +168,19 @@ def _pn(n: int) -> _Pn:
                (n - 1) / (2 * n - 1), 6 * n - 1, -4 * n + 5, 2 * n + 1)
 
 
+def _compile(source: str, filename: str, namespace: dict) -> dict:
+    """Run generated ``source`` in ``namespace`` and return the namespace.
+
+    The source is registered with :mod:`linecache` under ``filename``, so
+    tracebacks show its lines and :func:`inspect.getsource` prints it."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
 def rhs_full(space: GWSpace, x1: float, x2: float, x3: float) -> tuple[float, float, float]:
     """Blockwise flow ``x_i' = -2 r_i x_i + (2 S / d) x_i`` (volume-normalized)."""
-    for x in (x1, x2, x3):
-        if not x > 0:
-            raise InadmissibleStateError(
-                f"scale factors must be positive, got ({x1}, {x2}, {x3})"
-            )
-        if x > _X_LIMIT or x < 1.0 / _X_LIMIT:
-            raise RangeExceededError(f"scale factor {x} outside guarded range")
-    return _full_values(space, x1, x2, x3)
+    return field_full(space)(0.0, (x1, x2, x3))
 
 
 def _full_values(space: GWSpace, x1, x2, x3):
@@ -197,13 +196,7 @@ def _full_values(space: GWSpace, x1, x2, x3):
 
 def rhs_reduced_x(n: int, x1: float, x2: float) -> tuple[float, float]:
     """The two-equation system on the unit-volume slice of ``P_n``."""
-    lo, hi = _reduced_bounds(n)
-    if not (x1 > 0 and x2 > 0):
-        raise InadmissibleStateError(f"x1, x2 must be positive, got ({x1}, {x2})")
-    # squares by product: a float ** raises OverflowError where * gives inf
-    if x1 * x1 > hi or x2 * x2 > hi or x1 * x2 < lo:
-        raise RangeExceededError(f"powers of ({x1}, {x2}) outside guarded range")
-    return _reduced_values(n, x1, x2)
+    return field_reduced(n)(0.0, (x1, x2))
 
 
 def _reduced_values(n: int, x1, x2):
@@ -225,9 +218,9 @@ def _reduced_values(n: int, x1, x2):
 
 # The formula of rhs_phase, written once and compiled by _phase_source into
 # the array kernel _phase_values and the guarded fields; the names are those
-# of a _pn record.  The first line is p2, which the fields' range guard reads.
+# of a _pn record.  Its first line, _P2, is also what the range guard reads.
+_P2 = "p2 = phi * phi - psi * psi"
 _PHASE_FORMULA = (
-    "p2 = phi * phi - psi * psi",
     "low = p2 ** (n - 2) / pow4q",
     "high = q2 * p2 ** n",
     "dphi = (-2.0 + low * (3 * phi ** 3 - k6 * phi * psi * psi)",
@@ -238,72 +231,60 @@ _PHASE_FORMULA = (
 
 def _phase_source() -> str:
     """Python source of ``_phase_values(c, phi, psi)``, the unguarded kernel,
-    and of the factories ``field_phase`` and ``field_reparam``, which take the
-    fields of a ``_pn`` record and return the guarded field for that ``n``:
-    unpacking, guard, formula and (for reparam) the time change in one frame."""
-    p2, *formula = _PHASE_FORMULA
+    and of the factories ``field_phase``, ``field_reparam`` and
+    ``field_submersion``, which take the fields of a ``_pn`` record and return
+    the guarded field for that ``n``: unpacking, guard, formula and (for
+    reparam) the time change in one frame, or, for submersion, the axis
+    speed after the same guard at ``psi = 0``."""
     record = ", ".join(_Pn._fields)
-    body = [
-        "phi, psi = y if type(y) is tuple else _floats(y)",
+    unpack = ["phi, psi = y if type(y) is tuple else _floats(y)"]
+    unpack_axis = ["(phi,) = y if type(y) is tuple else _floats(y)", "psi = 0.0"]
+    guard = [
         "if not phi > abs(psi):",
         '    raise InadmissibleStateError(f"inadmissible phase point (phi={phi}, psi={psi})")',
-        p2,
+        _P2,
         "if phi * phi > hi or p2 < lo:",
         "    raise RangeExceededError(",
         '        f"(phi^2 - psi^2)^{n} outside representable range at phi={phi}, psi={psi}"',
         "    )",
-        *formula,
     ]
-    reparam = [
+    speed = ["return dphi, psi * bracket"]
+    time_change = [
         "if not dphi > 0:",
         "    raise ReparamInvalidError(",
         "        f\"phi' = {dphi} <= 0 at (phi={phi}, psi={psi}); reparametrization undefined\"",
         "    )",
         "return 1.0, psi * bracket / dphi",
     ]
+    axis_speed = [
+        "u = phi ** (2 * n - 1)",
+        "return ((-2.0 + 3 * u / (4.0 ** (n - 1) * (n + 2)) + c4 / (2 * (n + 2) * u)) / (2 * n - 1),)",
+    ]
 
-    def indent(lines, depth: int) -> list[str]:
-        return [" " * depth + line for line in lines]
+    def factory(name: str, *groups: list[str]) -> list[str]:
+        body = [" " * 8 + line for group in groups for line in group]
+        return [f"def {name}({record}):", f"    def {name}(t, y):", *body, f"    return {name}", ""]
 
     lines = [
         "def _phase_values(c, phi, psi):",
         "    # the formula of rhs_phase, unguarded, with c = _pn(n); phi, psi may be float64 arrays",
         f"    {record} = c",
-        *indent(_PHASE_FORMULA, 4),
-        "    return dphi, psi * bracket",
+        *("    " + line for line in (_P2, *_PHASE_FORMULA, *speed)),
         "",
-        f"def field_phase({record}):",
-        "    def field_phase(t, y):",
-        *indent(body, 8),
-        "        return dphi, psi * bracket",
-        "    return field_phase",
-        "",
-        f"def field_reparam({record}):",
-        "    def field_reparam(t, y):",
-        *indent(body + reparam, 8),
-        "    return field_reparam",
+        *factory("field_phase", unpack, guard, _PHASE_FORMULA, speed),
+        *factory("field_reparam", unpack, guard, _PHASE_FORMULA, time_change),
+        *factory("field_submersion", unpack_axis, guard, axis_speed),
     ]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)
 
 
-def _compile_phase() -> dict:
-    # the namespace of _phase_source, its source registered with linecache
-    # (as integrate._dopri_kernel's is) for tracebacks and inspect.getsource
-    source = _phase_source()
-    filename = "<gwflow.flows phase formula>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {
-        "__name__": __name__,
-        "_floats": _floats,
-        "InadmissibleStateError": InadmissibleStateError,
-        "RangeExceededError": RangeExceededError,
-        "ReparamInvalidError": ReparamInvalidError,
-    }
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace
-
-
-_PHASE = _compile_phase()
+_PHASE = _compile(_phase_source(), "<gwflow.flows phase formula>", {
+    "__name__": __name__,
+    "_floats": _floats,
+    "InadmissibleStateError": InadmissibleStateError,
+    "RangeExceededError": RangeExceededError,
+    "ReparamInvalidError": ReparamInvalidError,
+})
 _phase_values = _PHASE["_phase_values"]
 
 
@@ -318,13 +299,7 @@ def rhs_phase(n: int, phi: float, psi: float) -> tuple[float, float]:
 
 def rhs_submersion(n: int, phi: float) -> float:
     """Axis restriction: the scalar speed of ``phi`` on the locus ``psi = 0``."""
-    c = _pn(n)
-    if not (phi > 0 and c.lo <= phi * phi <= c.hi):
-        rhs_phase(n, phi, 0.0)  # the guard of rhs_phase at psi = 0 refuses such a phi
-    u = phi ** (2 * n - 1)
-    return (
-        -2.0 + 3 * u / (4.0 ** (n - 1) * (n + 2)) + c.c4 / (2 * (n + 2) * u)
-    ) / (2 * n - 1)
+    return field_submersion(n)(0.0, (phi,))[0]
 
 
 def rhs_reparam(n: int, phi: float, psi: float) -> tuple[float, float]:
@@ -353,58 +328,66 @@ def submersion_fixed_points(n: int) -> tuple[float, float]:
     return u_minus ** e, u_plus ** e
 
 
+@lru_cache  # per space: a GWSpace is any three-summand space, so the cache is bounded
 def field_full(space: GWSpace) -> Field:
-    """Vector field for :func:`rhs_full` (state ``[x1, x2, x3]``), returning its tuple.
-
-    Runs the guard of :func:`rhs_full` in its own frame and calls
-    ``_full_values`` itself; a state the guard refuses goes to
-    :func:`rhs_full`, which raises with its reason.
-    """
+    """Vector field of the blockwise flow on ``space`` (state ``[x1, x2, x3]``),
+    returning its tuple; the range test runs first, and only a state it
+    refuses is tested again for the reason to raise."""
     lo, hi = 1.0 / _X_LIMIT, _X_LIMIT
 
     def f(t: float, y: Sequence[float] | np.ndarray) -> tuple[float, float, float]:
         x1, x2, x3 = y if type(y) is tuple else _floats(y)
         if not (lo <= x1 <= hi and lo <= x2 <= hi and lo <= x3 <= hi):
-            return rhs_full(space, x1, x2, x3)
+            for x in (x1, x2, x3):
+                if not x > 0:
+                    raise InadmissibleStateError(
+                        f"scale factors must be positive, got ({x1}, {x2}, {x3})"
+                    )
+                if x > hi or x < lo:
+                    raise RangeExceededError(f"scale factor {x} outside guarded range")
         return _full_values(space, x1, x2, x3)
 
     return f
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 is still validated, and refused, once 2 is cached
 def field_reduced(n: int) -> Field:
-    """Vector field for :func:`rhs_reduced_x` (state ``[x1, x2]``), returning its tuple."""
-    _reduced_bounds(n)  # refuses n before the run, as field_phase does
+    """Vector field of the two-equation system on the unit-volume slice of
+    ``P_n`` (state ``[x1, x2]``), returning its tuple."""
+    lo, hi = _reduced_bounds(n)
 
     def f(t: float, y: Sequence[float] | np.ndarray) -> tuple[float, float]:
         x1, x2 = y if type(y) is tuple else _floats(y)
-        return rhs_reduced_x(n, x1, x2)
+        if not (x1 > 0 and x2 > 0):
+            raise InadmissibleStateError(f"x1, x2 must be positive, got ({x1}, {x2})")
+        # squares by product: a float ** raises OverflowError where * gives inf
+        if x1 * x1 > hi or x2 * x2 > hi or x1 * x2 < lo:
+            raise RangeExceededError(f"powers of ({x1}, {x2}) outside guarded range")
+        return _reduced_values(n, x1, x2)
 
     return f
 
 
 @lru_cache(maxsize=None, typed=True)
 def field_phase(n: int) -> Field:
-    """Vector field for :func:`rhs_phase` (state ``[phi, psi]``), returning its
-    tuple; one generated function per ``n`` (``_phase_source``)."""
+    """Vector field of the slice system in ``(phi, psi)`` (state ``[phi, psi]``),
+    returning its tuple; one generated function per ``n`` (``_phase_source``)."""
     return _PHASE["field_phase"](*_pn(n))
 
 
 @lru_cache(maxsize=None, typed=True)
 def field_reparam(n: int) -> Field:
-    """Vector field for :func:`rhs_reparam` (state ``[phi, psi]``), returning its
-    tuple; one generated function per ``n`` (``_phase_source``)."""
+    """Vector field of the unit-speed system (state ``[phi, psi]``), returning
+    its tuple; one generated function per ``n`` (``_phase_source``)."""
     return _PHASE["field_reparam"](*_pn(n))
 
 
+@lru_cache(maxsize=None, typed=True)
 def field_submersion(n: int) -> Field:
-    """Vector field for :func:`rhs_submersion` (state ``[phi]``), returning ``(phi',)``."""
-    _pn(n)  # refuses n before the run, as field_phase does
-
-    def f(t: float, y: Sequence[float] | np.ndarray) -> tuple[float]:
-        (phi,) = y if type(y) is tuple else _floats(y)
-        return (rhs_submersion(n, phi),)
-
-    return f
+    """Vector field of the axis restriction (state ``[phi]``), returning
+    ``(phi',)``; one generated function per ``n`` (``_phase_source``), which
+    refuses as :func:`field_phase` does at ``psi = 0``."""
+    return _PHASE["field_submersion"](*_pn(n))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ cleanly with the reason recorded on the trajectory rather than raising.
 from __future__ import annotations
 
 import enum
-import linecache
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,7 +48,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .flows import InadmissibleStateError, RangeExceededError, _floats
+from .flows import InadmissibleStateError, RangeExceededError, _compile, _floats
 
 __all__ = [
     "Termination",
@@ -248,15 +247,13 @@ def _dopri_kernel(dim: int):
     length raises :class:`ValueError`.  ``kernel(rhs, t, y, k1, h)`` stops
     after five calls and returns the 5th-order solution alone.
 
-    The source is registered with :mod:`linecache`, so tracebacks show its
-    lines and ``inspect.getsource(_dopri_kernel(2))`` prints it.
+    The source is compiled by ``flows._compile``, as the phase fields are,
+    so tracebacks show its lines and ``inspect.getsource(_dopri_kernel(2))``
+    prints it.
     """
-    source = _kernel_source(dim)
     filename = f"<gwflow.integrate Dormand-Prince kernel, dim {dim}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace[f"dopri5_dim{dim}"]
+    return _compile(_kernel_source(dim), filename, namespace)[f"dopri5_dim{dim}"]
 
 
 def _substep_evaluator(rhs, t0, y0, f0, t1, y1):

@@ -202,10 +202,22 @@ def ricci_coefficients(space: GWSpace, metric: Metric) -> RicciSpectrum:
     """Ricci eigenvalues of ``metric`` on ``space``.
 
     Homogeneous of degree -1 in the metric: scaling ``x -> c*x`` divides
-    every eigenvalue by ``c``.
+    every eigenvalue by ``c``.  Refuses with :class:`ValueError` a metric
+    whose eigenvalues leave the float range.
     """
-    r1, r2, r3 = _ricci_values(space, *metric.xs)
-    return RicciSpectrum(r1, r2, r3, *space.dims)
+    values = _finite_spectrum(metric, _ricci_values, space, *metric.xs)
+    return RicciSpectrum(*values, *space.dims)
+
+
+def _finite_spectrum(point, kernel, *args) -> tuple[float, float, float]:
+    # kernel(*args), the eigenvalues at point, refused unless all three are finite
+    try:
+        values = kernel(*args)
+    except (OverflowError, ZeroDivisionError):  # a float ** or / out of range
+        values = (math.inf,)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"the Ricci eigenvalues at {point} leave the float range")
+    return values
 
 
 def _log_volume(space: GWSpace, x1, x2, x3, log=math.log):
@@ -293,11 +305,14 @@ def ricci_phase(p: PhasePoint) -> RicciSpectrum:
 
     Agrees with :func:`ricci_coefficients` composed with :func:`from_phase`;
     implemented directly in ``(phi, psi)`` so the two routes cross-check each
-    other.  Refuses an ``n`` above 508: ``2 * 4**(n-1) * (n+2)`` overflows.
+    other.  Refuses an ``n`` above 508: ``2 * 4**(n-1) * (n+2)`` overflows;
+    and refuses with :class:`ValueError` a point whose eigenvalues leave the
+    float range.
     """
     if p.n > 508:
         raise ValueError(f"n={p.n} is too large: the constants of P_n overflow a float")
-    return RicciSpectrum(*_phase_ricci_values(p.n, p.phi, p.psi), *make_pn(p.n).dims)
+    values = _finite_spectrum(p, _phase_ricci_values, p.n, p.phi, p.psi)
+    return RicciSpectrum(*values, *make_pn(p.n).dims)
 
 
 def _sorted_blocks(spectrum: RicciSpectrum) -> list[tuple[float, int]]:

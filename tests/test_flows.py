@@ -20,6 +20,7 @@ from gwflow import (
     field_full,
     field_phase,
     field_reparam,
+    field_submersion,
     from_phase,
     integrate,
     make_pn,
@@ -72,14 +73,18 @@ def _refusal(call):
 @pytest.mark.parametrize("n", [2, 41, 300])
 def test_submersion_refuses_as_rhs_phase_refuses_on_the_axis(n):
     c = flows._pn(n)
+    f = field_submersion(n)
     for phi in (0.0, -1.0, math.nan):
         assert _refusal(lambda: rhs_submersion(n, phi)) == _refusal(lambda: rhs_phase(n, phi, 0.0))
         assert _refusal(lambda: rhs_submersion(n, phi)) is not None
+        assert _refusal(lambda: f(0.0, (phi,))) == _refusal(lambda: reference_submersion(n, phi))
     for edge in (math.sqrt(c.lo), math.sqrt(c.hi)):
         refused = []
         for phi in (math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)):
             got = _refusal(lambda: rhs_submersion(n, phi))
             assert got == _refusal(lambda: rhs_phase(n, phi, 0.0)), phi
+            assert _refusal(lambda: f(0.0, (phi,))) == got, phi
+            assert _refusal(lambda: reference_submersion(n, phi)) == got, phi
             refused.append(got is not None)
         # one ulp either side of the edge lies on either side of the guard
         assert sorted(refused) == [False, True]
@@ -120,8 +125,9 @@ class TestFullSystem:
 
 
 class TestFullField:
-    # field_full runs rhs_full's guard in its own frame and calls the kernel
-    # itself; a state the guard refuses goes through rhs_full
+    # field_full holds the full system's only guard; it and rhs_full must give
+    # the bits and the refusals of the hand-written rhs_full, kept below as
+    # reference_full
 
     @pytest.mark.parametrize("n", [2, 3, 7, 41, 503])
     def test_matches_rhs_full_bit_for_bit(self, n):
@@ -131,23 +137,24 @@ class TestFullField:
         for span in (3, 76):  # moderate scales, and across the whole guard box
             for _ in range(200):
                 y = tuple(10.0 ** rng.uniform(-span, span) for _ in range(3))
-                assert f(0.0, y) == rhs_full(space, *y), y
+                want = _outcome(lambda: reference_full(space, *y))
+                assert _outcome(lambda: f(0.0, y)) == want, y
+                assert _outcome(lambda: rhs_full(space, *y)) == want, y
 
     def test_refuses_as_rhs_full_refuses(self):
         big = flows._X_LIMIT
         space = make_pn(3)
         f = field_full(space)
+        ok = (1.0 / big, 1.0, big)  # the bounds themselves are inside the guard
         bad = (0.0, -1.0, math.nan, math.nextafter(big, math.inf), math.nextafter(1.0 / big, 0.0))
-        # every placement of one or more bad values, so the first refused
-        # component names the reason in both
-        for y in itertools.product((1.0, *bad), repeat=3):
-            if y == (1.0, 1.0, 1.0):
-                continue
-            refusal = _refusal(lambda: f(0.0, y))
-            assert refusal is not None and refusal == _refusal(lambda: rhs_full(space, *y)), y
-        # the bounds themselves are inside the guard
-        for y in itertools.product((1.0 / big, 1.0, big), repeat=3):
-            assert f(0.0, y) == rhs_full(space, *y), y
+        # every placement of bad values among good ones, so the first refused
+        # component names the reason
+        for y in itertools.product((*ok, *bad), repeat=3):
+            want = _outcome(lambda: reference_full(space, *y))
+            refused = not set(y) <= set(ok)
+            assert (type(want) is tuple) is refused, y
+            assert _outcome(lambda: f(0.0, y)) == want, y
+            assert _outcome(lambda: rhs_full(space, *y)) == want, y
 
 
 class TestReducedSystem:
@@ -188,6 +195,24 @@ class TestReducedSystem:
             except RangeExceededError:
                 continue
             assert all(map(math.isfinite, values)), (n, x1, x2, values)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 7, 41, 300, 503, 600, 1000])
+    def test_field_and_rhs_match_the_reference(self, n):
+        # field_reduced holds the reduced system's only guard
+        rng = random.Random(f"reduced/{n}")
+        lo, hi = flows._reduced_bounds(n)
+        span = math.log(hi) / 2 + 2  # past either bound on x_i, and on x1*x2
+        seeded = [(math.exp(rng.uniform(-span, span)), math.exp(rng.uniform(-span, span)))
+                  for _ in range(60)]
+        bad = [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.nan)]
+        f = flows.field_reduced(n)
+        kinds = set()
+        for x1, x2 in seeded + bad + _reduced_guard_edge_points(n):
+            want = _outcome(lambda: reference_reduced(n, x1, x2))
+            kinds.add(want[0] if type(want) is tuple else float)
+            assert _outcome(lambda: f(0.0, (x1, x2))) == want, (x1, x2)
+            assert _outcome(lambda: rhs_reduced_x(n, x1, x2)) == want, (x1, x2)
+        assert kinds == {float, InadmissibleStateError, RangeExceededError}
 
 
 def _reduced_guard_edge_points(n):
@@ -513,6 +538,38 @@ def reference_reparam(c, phi, psi):
     return 1.0, dpsi / dphi
 
 
+# The hand-written guards of the other three systems, which their fields
+# replaced, kept as references in the same way.
+def reference_full(space, x1, x2, x3):
+    for x in (x1, x2, x3):
+        if not x > 0:
+            raise InadmissibleStateError(
+                f"scale factors must be positive, got ({x1}, {x2}, {x3})"
+            )
+        if x > flows._X_LIMIT or x < 1.0 / flows._X_LIMIT:
+            raise RangeExceededError(f"scale factor {x} outside guarded range")
+    return flows._full_values(space, x1, x2, x3)
+
+
+def reference_reduced(n, x1, x2):
+    lo, hi = flows._reduced_bounds(n)
+    if not (x1 > 0 and x2 > 0):
+        raise InadmissibleStateError(f"x1, x2 must be positive, got ({x1}, {x2})")
+    if x1 * x1 > hi or x2 * x2 > hi or x1 * x2 < lo:
+        raise RangeExceededError(f"powers of ({x1}, {x2}) outside guarded range")
+    return flows._reduced_values(n, x1, x2)
+
+
+def reference_submersion(n, phi):
+    c = flows._pn(n)
+    if not (phi > 0 and c.lo <= phi * phi <= c.hi):
+        reference_phase(c, phi, 0.0)  # the phase guard at psi = 0 refuses such a phi
+    u = phi ** (2 * n - 1)
+    return (
+        -2.0 + 3 * u / (4.0 ** (n - 1) * (n + 2)) + c.c4 / (2 * (n + 2) * u)
+    ) / (2 * n - 1)
+
+
 def _outcome(call):
     """The bits of what ``call`` returns, or the type and message of what it raises."""
     try:
@@ -562,6 +619,10 @@ class TestGeneratedPhaseFields:
                 lambda: reference_phase(c, phi, psi))
             assert _outcome(lambda: rhs_reparam(n, phi, psi)) == _outcome(
                 lambda: reference_reparam(c, phi, psi))
+            # the axis field at the same phi, psi dropped
+            want = _outcome(lambda: (reference_submersion(n, phi),))
+            assert _outcome(lambda: field_submersion(n)(0.0, (phi,))) == want, phi
+            assert _outcome(lambda: (rhs_submersion(n, phi),)) == want, phi
         assert {float, InadmissibleStateError, RangeExceededError} <= kinds
         # from n = 466 the guard refuses the lower axis fixed point, and with
         # it every axis state where phi' < 0
@@ -576,30 +637,32 @@ class TestGeneratedPhaseFields:
                 reference_phase_values(c, phi, psi))
 
     def test_one_cached_function_per_n(self):
-        assert field_phase(3) is field_phase(3) and field_reparam(3) is field_reparam(3)
-        assert field_phase(3) is not field_phase(4)
+        for name, system in SYSTEMS.items():
+            assert system.field(3) is system.field(3), name
+            assert system.field(3) is not system.field(4), name
 
     def test_source_shows_the_guard_and_the_formula(self):
-        source = inspect.getsource(field_reparam(3))
-        for line in (
-            "if not phi > abs(psi):",
-            "if phi * phi > hi or p2 < lo:",
-            *(line.strip() for line in flows._PHASE_FORMULA),
-            "return 1.0, psi * bracket / dphi",
+        guard = ("if not phi > abs(psi):", "if phi * phi > hi or p2 < lo:")
+        for field, lines in (
+            (field_reparam, (*guard, *flows._PHASE_FORMULA, "return 1.0, psi * bracket / dphi")),
+            (field_submersion, ("psi = 0.0", *guard, "u = phi ** (2 * n - 1)")),
         ):
-            assert line in source
+            source = inspect.getsource(field(3))
+            for line in lines:
+                assert line.strip() in source, (field.__name__, line)
         assert "def _phase_values(c, phi, psi):" in inspect.getsource(flows._phase_values)
 
     def test_traceback_names_the_generated_source(self):
-        with pytest.raises(InadmissibleStateError) as info:
-            field_phase(2)(0.0, (1.0, 2.0))
-        frame = traceback.extract_tb(info.value.__traceback__)[-1]
-        assert frame.filename == field_phase(2).__code__.co_filename
-        assert frame.filename.startswith("<gwflow.flows")
-        assert frame.name == "field_phase"
-        assert "raise InadmissibleStateError" in frame.line
+        for field, y in ((field_phase, (1.0, 2.0)), (field_submersion, (0.0,))):
+            with pytest.raises(InadmissibleStateError) as info:
+                field(2)(0.0, y)
+            frame = traceback.extract_tb(info.value.__traceback__)[-1]
+            assert frame.filename == field(2).__code__.co_filename
+            assert frame.filename.startswith("<gwflow.flows")
+            assert frame.name == field.__name__
+            assert "raise InadmissibleStateError" in frame.line
 
-    @pytest.mark.parametrize("name", ["phase", "reparam"])
+    @pytest.mark.parametrize("name", list(SYSTEMS))
     def test_qualname_names_the_system(self, name):
         # the benchmark's tracer labels an rhs by the field_<system> its
         # __qualname__ starts with

@@ -377,6 +377,39 @@ class TestPhaseRicciKernel:
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def _p2_spectrum(metric):
+    return ricci_coefficients(make_pn(2), metric)
+
+
+def _phase_kernel(p):
+    return spaces._phase_ricci_values(p.n, p.phi, p.psi)
+
+
+def _p2_kernel(metric):
+    return spaces._ricci_values(make_pn(2), *metric.xs)
+
+
+@pytest.mark.parametrize(
+    "spectrum_of,kernel,outside,inside",
+    [
+        (ricci_phase, _phase_kernel, PhasePoint(0.35, 0.0, 300), PhasePoint(2.0, 0.0, 300)),
+        (ricci_phase, _phase_kernel, PhasePoint(1.5, 1.49, 200), PhasePoint(1.5, 1.0, 200)),
+        (ricci_phase, _phase_kernel, PhasePoint(1e150, 0.0, 2), PhasePoint(1e70, 0.0, 2)),
+        (_p2_spectrum, _p2_kernel, Metric(1e-160, 1.0, 1e160), Metric(1e-100, 1.0, 1e100)),
+        (_p2_spectrum, _p2_kernel, Metric(1e-200, 1e-200, 1e200), Metric(1e-100, 1e-100, 1e100)),
+    ],
+    ids=["phase-axis-n300", "phase-edge-n200", "phase-overflow-n2", "metric-inf", "metric-zero-div"],
+)
+def test_eigenvalues_beyond_the_float_range_are_refused(spectrum_of, kernel, outside, inside):
+    # these gave (-inf, -inf, inf), or raised a bare OverflowError or
+    # ZeroDivisionError; the point beside each keeps the kernel's bits
+    got = spectrum_of(inside).values
+    assert got == kernel(inside) and all(map(math.isfinite, got))
+    with pytest.raises(ValueError) as info:
+        spectrum_of(outside)
+    assert str(info.value) == f"the Ricci eigenvalues at {outside} leave the float range"
+
+
 class TestPositivity:
     def test_definitional_sums(self):
         s = spectrum(-0.1, -0.1, 1.0)
