@@ -20,11 +20,11 @@ errors about the command.  Either route gives the same namespace, output and
 errors; the direct one skips the top-level parser's scan of every token.
 
 A ``flow`` CSV row gives each float to 17 significant digits, so that it
-reads back as the same float, and ``neg_count`` as an integer.  Each row is
-built from the unguarded scalar kernels of :mod:`gwflow.spaces` (the chart,
-the Ricci values, the log volume), with no ``Metric`` or ``RicciSpectrum``
-per row: every row is a state the system's guard accepted, whose scale
-factors are positive and finite (``notes/decisions.md``).
+reads back as the same float, and ``neg_count`` as an integer.  Each row
+comes from its system's unguarded ``sample`` (``flows.SYSTEMS``), with no
+``Metric`` or ``RicciSpectrum`` per row: every row is a state the system's
+guard accepted, whose scale factors are positive and finite
+(``notes/decisions.md``).
 
 Exit codes: 0 success, 1 bad arguments (or an experiment whose final
 negative-eigenvalue count differs from ``d1 = 4(n-1)``, the multiplicity of
@@ -39,25 +39,16 @@ import dataclasses
 import functools
 import inspect
 import json
-import math
 import string
 import sys
 from typing import Iterable
 
 from . import checks as checks_mod
+from . import spaces
 from .experiment import BadInitialDataError, ExperimentConfig, run_theorem_experiment
 from .flows import RangeExceededError, SYSTEMS
 from .integrate import IntegratorConfig, Termination, Trajectory, integrate
 from .portrait import render_portrait
-from .spaces import (
-    _chart_values,
-    _log_volume,
-    _phase_ricci_values,
-    _ricci_values,
-    _to_phase_values,
-    _x3_values,
-    make_pn,
-)
 
 CSV_HEADER = "t,x1,x2,x3,phi,psi,r1,r2,r3,S,V,neg_count"
 
@@ -233,29 +224,13 @@ _CSV_ROW = ",".join(["%.17g"] * 11) + ",%d"
 
 
 def _csv_lines(system: str, n: int, traj: Trajectory) -> Iterable[str]:
-    space = make_pn(n)
-    d1, d2, d3 = space.dims
-    cols = traj.y.T
-    if SYSTEMS[system].state[0] == "x1":  # scale factors; x3 completes the slice
-        x1s, x2s = cols[0].tolist(), cols[1].tolist()
-        x3s = (cols[2].tolist() if len(cols) == 3
-               else [_x3_values(n, x1, x2) for x1, x2 in zip(x1s, x2s)])
-        # float64 + and - round as Python's do: the same bits as a per-row call
-        phis, psis = (c.tolist() for c in _to_phase_values(cols[0], cols[1]))
-        rows = ((x1, x2, x3, phi, psi, *_ricci_values(space, x1, x2, x3))
-                for x1, x2, x3, phi, psi in zip(x1s, x2s, x3s, phis, psis))
-    else:  # phase coordinates; the submersion runs on the axis psi = 0
-        phis = cols[0].tolist()
-        psis = cols[1].tolist() if len(cols) == 2 else [0.0] * len(phis)
-        rows = ((*_chart_values(n, phi, psi), phi, psi, *_phase_ricci_values(n, phi, psi))
-                for phi, psi in zip(phis, psis))
+    sample, space = SYSTEMS[system].sample, spaces.make_pn(n)
+    volume, (d1, d2, d3) = spaces._volume_values, space.dims
     yield CSV_HEADER
-    for t, (x1, x2, x3, phi, psi, r1, r2, r3) in zip(traj.t.tolist(), rows):
-        try:  # spaces.volume's rule: a volume beyond the float range is inf
-            vol = math.exp(_log_volume(space, x1, x2, x3))
-        except OverflowError:
-            vol = math.inf
-        yield _CSV_ROW % (t, x1, x2, x3, phi, psi, r1, r2, r3, d1 * r1 + d2 * r2 + d3 * r3, vol,
+    for t, y in zip(traj.t.tolist(), traj.y.tolist()):
+        x1, x2, x3, phi, psi, r1, r2, r3 = sample(n, *y)
+        yield _CSV_ROW % (t, x1, x2, x3, phi, psi, r1, r2, r3, d1 * r1 + d2 * r2 + d3 * r3,
+                          volume(space, x1, x2, x3),
                           (r1 < 0.0) * d1 + (r2 < 0.0) * d2 + (r3 < 0.0) * d3)
 
 
@@ -305,9 +280,17 @@ def cmd_experiment(opts: dict, output: str | None) -> int:
         return 3
 
     _write_text(output, json.dumps(report.to_json_dict(), indent=2) + "\n")
+    final, expected = report.final_negative_count, report.expected_negative_count
     if report.termination in _ERROR_TERMINATIONS:
-        return 2
-    return 0 if report.final_negative_count == report.expected_negative_count else 1
+        code, why = 2, f"run ended in {report.termination.value}; the report holds it up to there"
+    elif final != expected:
+        code, why = 1, f"final negative-eigenvalue count {final}, expected {expected}" + (
+            f"; r1 did not turn negative by t_max={cfg.t_max:.17g}"
+            if report.t_r1_negative is None else "")
+    else:
+        return 0
+    print(f"gwflow experiment: {why}", file=sys.stderr)
+    return code
 
 
 def _pair(option: str, text: str, kind=float) -> tuple:

@@ -1,26 +1,23 @@
 """Right-hand sides of the volume-normalized Ricci flow on ``P_n``.
 
-Four equivalent formulations are implemented independently of each other so
-they can cross-check the transcription:
+Five formulations cross-check the transcription, each a field of :data:`SYSTEMS`:
 
-* :func:`rhs_full` -- generic blockwise flow in ``(x1, x2, x3)``, derived
+* ``full`` (:func:`field_full`) -- the blockwise flow in ``(x1, x2, x3)``,
   from the Ricci eigenvalue formula; works on any three-summand space.
-* :func:`rhs_reduced_x` -- the two-equation system in ``(x1, x2)`` on the
-  unit-volume slice of ``P_n``, with ``x3`` eliminated.
-* :func:`rhs_phase` -- the same system in ``(phi, psi)`` coordinates.
-* :func:`rhs_submersion` -- the restriction to the invariant axis
-  ``psi = 0``.
+* ``reduced`` (:func:`field_reduced`) -- the two equations in ``(x1, x2)``
+  on the unit-volume slice of ``P_n``, with ``x3`` eliminated.
+* ``phase`` (:func:`field_phase`) -- the slice system in ``(phi, psi)``.
+* ``reparam`` (:func:`field_reparam`) -- the phase text with the time change
+  ``phi' = 1``, which turns finite-time blow-up into linear growth.
+* ``submersion`` (:func:`field_submersion`) -- the invariant axis ``psi = 0``.
 
-:func:`rhs_reparam` rescales time so that ``phi' = 1`` identically, which
-turns finite-time blow-up of the original system into linear growth
-``phi(t) = t + phi(0)``.
-
-:data:`SYSTEMS` names the five formulations with their state components and
-integrator-ready vector fields (the ``field_*`` constructors); the CLI reads
-every per-system fact from it.  A vector field maps ``(t, y)`` to the
-derivative as a tuple of Python floats.  It unpacks a tuple ``y`` as it is,
-the form :func:`~gwflow.integrate.integrate` hands it, so such a tuple must
-hold Python floats; any other ``y`` (a list, an ndarray) is converted to
+A :class:`System` holds its state components, its field ``field(n)`` and
+``sample(n, *state)``: the state's ``(x1, x2, x3, phi, psi)`` on the slice
+and the Ricci eigenvalues in the system's own coordinates.  The CLI reads
+every per-system fact from :data:`SYSTEMS`.  A vector field maps ``(t, y)``
+to the derivative as a tuple of Python floats.  It unpacks a tuple ``y`` as
+it is, the form :func:`~gwflow.integrate.integrate` hands it, so such a tuple
+must hold Python floats; any other ``y`` (a list, an ndarray) is converted to
 floats once.  Either way the field gives the same bits.
 
 Every formulation follows one rule.  Its field is built once per ``n`` (per
@@ -72,7 +69,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spaces import GWSpace, _require_n, _ricci_values, make_pn
+from .spaces import GWSpace, _phase_sample, _require_n, _ricci_values, _x3_values, _x_sample, make_pn
 
 __all__ = [
     "RangeExceededError",
@@ -392,21 +389,24 @@ def field_submersion(n: int) -> Field:
 
 @dataclass(frozen=True)
 class System:
-    """One formulation on ``P_n``: its state components, in order, and
-    ``field(n)``, the vector field it integrates, which returns a tuple."""
+    """One formulation on ``P_n``: its state components, in order; ``field(n)``,
+    the vector field it integrates; and ``sample(n, *state)``, unguarded, the
+    ``(x1, x2, x3, phi, psi, r1, r2, r3)`` of the module docstring."""
 
     name: str
     state: tuple[str, ...]
     field: Callable[[int], Field]
+    sample: Callable[..., tuple[float, ...]]
 
 
 SYSTEMS: dict[str, System] = {
     s.name: s
     for s in (
-        System("full", ("x1", "x2", "x3"), lambda n: field_full(make_pn(n))),
-        System("reduced", ("x1", "x2"), field_reduced),
-        System("phase", ("phi", "psi"), field_phase),
-        System("reparam", ("phi", "psi"), field_reparam),
-        System("submersion", ("phi",), field_submersion),
+        System("full", ("x1", "x2", "x3"), lambda n: field_full(make_pn(n)), _x_sample),
+        System("reduced", ("x1", "x2"), field_reduced,
+               lambda n, x1, x2: _x_sample(n, x1, x2, _x3_values(n, x1, x2))),
+        System("phase", ("phi", "psi"), field_phase, _phase_sample),
+        System("reparam", ("phi", "psi"), field_reparam, _phase_sample),
+        System("submersion", ("phi",), field_submersion, lambda n, phi: _phase_sample(n, phi, 0.0)),
     )
 }

@@ -225,16 +225,21 @@ def _log_volume(space: GWSpace, x1, x2, x3, log=math.log):
     return log(x1) / space.a1 + log(x2) / space.a2 + log(x3) / space.a3
 
 
+def _volume_values(space: GWSpace, x1: float, x2: float, x3: float) -> float:
+    # the volume of volume(), unguarded: beyond the float range it is inf
+    try:
+        return math.exp(_log_volume(space, x1, x2, x3))
+    except OverflowError:
+        return math.inf
+
+
 def volume(space: GWSpace, metric: Metric) -> float:
     """Volume functional ``x1**(1/a1) * x2**(1/a2) * x3**(1/a3)``.
 
     Accumulated in log space, as the exponents ``1/a_i`` reach ``2(n+2)``
     on ``P_n``; a volume beyond the float range is ``inf``.
     """
-    try:
-        return math.exp(_log_volume(space, metric.x1, metric.x2, metric.x3))
-    except OverflowError:
-        return math.inf
+    return _volume_values(space, metric.x1, metric.x2, metric.x3)
 
 
 def normalize_to_unit_volume(space: GWSpace, metric: Metric) -> Metric:
@@ -298,6 +303,16 @@ def _chart_values(n: int, phi, psi):
     x1 = 0.5 * (phi + psi)
     x2 = 0.5 * (phi - psi)
     return x1, x2, _x3_values(n, x1, x2)
+
+
+def _x_sample(n: int, x1: float, x2: float, x3: float) -> tuple[float, ...]:
+    # (x1, x2, x3, phi, psi, r1, r2, r3) at scale factors on P_n, unguarded
+    return (x1, x2, x3, *_to_phase_values(x1, x2), *_ricci_values(make_pn(n), x1, x2, x3))
+
+
+def _phase_sample(n: int, phi: float, psi: float) -> tuple[float, ...]:
+    # (x1, x2, x3, phi, psi, r1, r2, r3) at a phase point of P_n, unguarded
+    return (*_chart_values(n, phi, psi), phi, psi, *_phase_ricci_values(n, phi, psi))
 
 
 def ricci_phase(p: PhasePoint) -> RicciSpectrum:

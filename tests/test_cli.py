@@ -12,7 +12,7 @@ import pytest
 
 from gwflow import checks, cli, flows
 from gwflow.checks import CheckResult, run_invariant_checks
-from gwflow.experiment import ExperimentConfig
+from gwflow.experiment import ExperimentConfig, run_theorem_experiment
 from gwflow.flows import SYSTEMS, submersion_fixed_points
 from gwflow.integrate import IntegratorConfig, Termination, integrate
 from gwflow.portrait import render_portrait
@@ -626,8 +626,29 @@ class TestExperimentCommand:
         )
         out_path = tmp_path / "report.json"
         code, _, err = run_cli(capsys, "experiment", "--n", "2", "--output", str(out_path))
-        assert (code, err) == (2, "")
+        assert code == 2
+        assert err == ("gwflow experiment: run ended in MaxSteps; "
+                       "the report holds it up to there\n")
         assert json.loads(out_path.read_text())["termination"] == "MaxSteps"
+
+    def test_step_underflow_exit_2_names_the_termination(self, capsys, monkeypatch):
+        report = run_theorem_experiment(ExperimentConfig(n=2, t_max=100.0))
+        monkeypatch.setattr(cli, "run_theorem_experiment", lambda cfg: dataclasses.replace(
+            report, termination=Termination.STEP_UNDERFLOW))
+        code, out, err = run_cli(capsys, "experiment", "--n", "2")
+        assert code == 2
+        assert json.loads(out)["termination"] == "StepUnderflow"
+        assert err == ("gwflow experiment: run ended in StepUnderflow; "
+                       "the report holds it up to there\n")
+
+    def test_count_mismatch_exit_1_names_both_counts(self, capsys):
+        # the default t_max = 1e4 ends this run before r1 turns negative
+        code, out, err = run_cli(capsys, "experiment", "--n", "2", "--epsilon", "1e-4")
+        report = json.loads(out)
+        assert code == 1
+        assert (report["t_r1_negative"], report["final_negative_count"]) == (None, 0)
+        assert err == ("gwflow experiment: final negative-eigenvalue count 0, expected 4; "
+                       "r1 did not turn negative by t_max=10000\n")
 
     def test_missing_n_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "experiment")
